@@ -15,7 +15,7 @@ Index conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,12 +44,7 @@ class CurvatureAtPoint:
     the last two), ``gamma_second`` holds ``Gamma^l_{jk}`` indexed
     ``[l, j, k]``, and ``riemann`` is the covariant array described in the
     module docstring (``None`` when only the Christoffel part was requested).
-
-    When the metric is positive-definite the assembly also retains the
-    curvature expressed in a g-orthonormal frame (``riemann_white`` together
-    with the frame change ``white``, the transpose Cholesky factor);
-    sectional curvatures contracted there do not suffer the condition-number
-    amplification of the flat-coordinate components.
+    ``cond`` is the condition number of the metric at ``base``.
     """
 
     gamma_first: np.ndarray
@@ -58,11 +53,9 @@ class CurvatureAtPoint:
     base: np.ndarray
     metric: MetricAtPoint
     cond: float
-    riemann_white: np.ndarray | None = None
-    white: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("gamma_first", "gamma_second", "riemann", "base", "riemann_white", "white"):
+        for name in ("gamma_first", "gamma_second", "riemann", "base"):
             a = getattr(self, name)
             if a is None:
                 continue
@@ -80,36 +73,6 @@ def _potential_third(vol, v1, v2, v3):
     )
     log3 = v3 / vol - sym3 / vol**2 + 2.0 * np.einsum("i,j,k->ijk", v1, v1, v1) / vol**3
     return -log3
-
-
-def _potential_fourth(vol, v1, v2, v3, v4):
-    # F_{ijkl} for F = -log Vol.
-    sym31 = (
-        np.einsum("ijk,l->ijkl", v3, v1)
-        + np.einsum("ijl,k->ijkl", v3, v1)
-        + np.einsum("ikl,j->ijkl", v3, v1)
-        + np.einsum("jkl,i->ijkl", v3, v1)
-    )
-    sym22 = (
-        np.einsum("ij,kl->ijkl", v2, v2)
-        + np.einsum("ik,jl->ijkl", v2, v2)
-        + np.einsum("il,jk->ijkl", v2, v2)
-    )
-    sym211 = (
-        np.einsum("ij,k,l->ijkl", v2, v1, v1)
-        + np.einsum("ik,j,l->ijkl", v2, v1, v1)
-        + np.einsum("il,j,k->ijkl", v2, v1, v1)
-        + np.einsum("jk,i,l->ijkl", v2, v1, v1)
-        + np.einsum("jl,i,k->ijkl", v2, v1, v1)
-        + np.einsum("kl,i,j->ijkl", v2, v1, v1)
-    )
-    log4 = (
-        v4 / vol
-        - (sym31 + sym22) / vol**2
-        + 2.0 * sym211 / vol**3
-        - 6.0 * np.einsum("i,j,k,l->ijkl", v1, v1, v1, v1) / vol**4
-    )
-    return -log4
 
 
 def _metric_inverse(g: np.ndarray):
@@ -139,89 +102,28 @@ def christoffel_at(c: IntersectionTensor, point) -> CurvatureAtPoint:
     )
 
 
-def _assemble_riemann(g, g_inv, gamma2, dgamma2):
-    # dgamma2[i, l, j, k] = d_i Gamma^l_{jk}
-    r_up = (
-        np.einsum("iljk->lijk", dgamma2)
-        - np.einsum("jlik->lijk", dgamma2)
-        + np.einsum("lim,mjk->lijk", gamma2, gamma2)
-        - np.einsum("ljm,mik->lijk", gamma2, gamma2)
-    )
-    # R[a, b, k, l] = g(R(e_k, e_l) e_a, e_b); R(e_k, e_l) e_a has
-    # components r_up[m, k, l, a].
-    return np.einsum("bm,mkla->abkl", g, r_up)
+def riemann_at(c: IntersectionTensor, point) -> CurvatureAtPoint:
+    """Riemann curvature of the cone metric from the Hessian-metric identity.
 
+    For a Hessian metric ``g = Hess F`` the curvature is quadratic in the
+    Christoffel symbols ``Gamma_{ijk} = F_{ijk} / 2``:
 
-def _riemann_from_potential(g, g_inv, f3, f4):
-    # Coordinate formula R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
-    # + Gamma Gamma - Gamma Gamma with exact potential derivatives, where
-    # d_i Gamma^l_{jk} = (g^{lm} F_{mjki} - g^{la} F_{aib} g^{bm} F_{mjk}) / 2.
-    # The fourth-derivative term is symmetric in (i, j) and cancels in the
-    # tensor; it is kept because the coordinate formula is the contract here.
-    gamma2 = 0.5 * np.einsum("lm,mjk->ljk", g_inv, f3)
-    dgamma2 = 0.5 * (
-        np.einsum("lm,mjki->iljk", g_inv, f4)
-        - np.einsum("la,aib,bm,mjk->iljk", g_inv, f3, g_inv, f3)
-    )
-    return _assemble_riemann(g, g_inv, gamma2, dgamma2)
+        R[a, b, k, l] = Gamma_{akp} g^{pq} Gamma_{blq} - Gamma_{alp} g^{pq} Gamma_{bkq}
 
-
-def riemann_at(c: IntersectionTensor, point, whiten: bool = True) -> CurvatureAtPoint:
-    """Riemann curvature of the cone metric from exact potential derivatives.
-
-    With ``whiten`` (default) and a positive-definite metric, the coordinate
-    formula is evaluated after the exact linear change of coordinates that
-    maps the metric to the identity; the flat-coordinate components are then
-    transformed back.  This removes the condition-number amplification that
-    plain evaluation suffers near the boundary, and additionally keeps the
-    frame components for stable sectional-curvature contractions.  With
-    ``whiten=False`` the formula is evaluated directly in the given
-    coordinates (the validation reference).
+    (Duistermaat, "On Hessian Riemannian structures", 2001; Totaro, "The
+    curvature of a Hessian metric", 2004).  Only ``F_{ijk}`` and the inverse
+    metric enter, and the identity needs no definiteness, so indefinite
+    metrics away from the positivity cone are handled the same way.
     """
-    pt = as_point(point)
-    data = metric_at(c, pt)
-    v1, v2, v3, v4 = vol_derivatives(c, pt, 4)
-    f3 = _potential_third(data.vol, v1, v2, v3)
-    f4 = _potential_fourth(data.vol, v1, v2, v3, v4)
-    g_inv, cond = _metric_inverse(data.g)
-    gamma1 = 0.5 * f3
-    gamma2 = np.einsum("lm,mjk->ljk", g_inv, gamma1)
-
-    chol = None
-    if whiten:
-        try:
-            chol = np.linalg.cholesky(data.g)
-        except np.linalg.LinAlgError:
-            chol = None  # indefinite metric: fall back to direct assembly
-    if chol is None:
-        riem = _riemann_from_potential(data.g, g_inv, f3, f4)
-        return CurvatureAtPoint(
-            gamma_first=gamma1,
-            gamma_second=gamma2,
-            riemann=riem,
-            base=pt.t,
-            metric=data,
-            cond=cond,
-        )
-
-    # x = W xw with W = L^-T sends g to (almost exactly) the identity.
-    w = np.linalg.solve(chol.T, np.eye(c.N))
-    g_w = w.T @ data.g @ w
-    g_w_inv = np.linalg.solve(g_w, np.eye(c.N))
-    f3_w = np.einsum("abc,aA,bB,cC->ABC", f3, w, w, w)
-    f4_w = np.einsum("abcd,aA,bB,cC,dD->ABCD", f4, w, w, w, w)
-    riem_w = _riemann_from_potential(g_w, g_w_inv, f3_w, f4_w)
-    riem = np.einsum("ABKL,aA,bB,kK,lL->abkl", riem_w, chol, chol, chol, chol)
-    return CurvatureAtPoint(
-        gamma_first=gamma1,
-        gamma_second=gamma2,
-        riemann=riem,
-        base=pt.t,
-        metric=data,
-        cond=cond,
-        riemann_white=riem_w,
-        white=chol.T,
-    )
+    curv = christoffel_at(c, point)
+    N = c.N
+    # pairs[(a, k), (b, l)] = Gamma_{akp} Gamma^p_{bl}, made exactly symmetric:
+    # that alone gives R[a, b] = -R[b, a] bit for bit, and keeps the pair and
+    # Bianchi residuals at rounding level even where g is indefinite.
+    pairs = curv.gamma_first.reshape(N * N, N) @ curv.gamma_second.reshape(N, N * N)
+    pairs = 0.5 * (pairs + pairs.T)
+    first = pairs.reshape(N, N, N, N).transpose(0, 2, 1, 3)
+    return replace(curv, riemann=first - first.transpose(0, 1, 3, 2))
 
 
 def sectional_from_curvature(curv: CurvatureAtPoint, u, v) -> float:
@@ -237,12 +139,7 @@ def sectional_from_curvature(curv: CurvatureAtPoint, u, v) -> float:
     gram = guu * gvv - guv**2
     if gram <= GRAM_RTOL * abs(guu * gvv):
         raise DegeneratePlane("tangent vectors do not span a 2-plane")
-    if curv.riemann_white is not None:
-        uw = curv.white @ uvec
-        vw = curv.white @ vvec
-        num = float(np.einsum("abkl,a,b,k,l->", curv.riemann_white, uw, vw, vw, uw))
-    else:
-        num = float(np.einsum("abkl,a,b,k,l->", curv.riemann, uvec, vvec, vvec, uvec))
+    num = float(np.einsum("abkl,a,b,k,l->", curv.riemann, uvec, vvec, vvec, uvec))
     return num / gram
 
 

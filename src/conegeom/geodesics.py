@@ -288,7 +288,7 @@ class RayStudy:
 def _ray_length(c, alpha, omega, t_lo, t_hi, panels_per_octave=4):
     # Geometrically spaced panels resolve the 1/t-type blowup of the
     # integrand near a volume-zero endpoint.
-    n_oct = max(1, int(math.ceil(math.log(t_hi / t_lo, 2.0))))
+    n_oct = max(1, math.ceil(math.log2(t_hi / t_lo)))
     edges = np.geomspace(t_lo, t_hi, n_oct * panels_per_octave + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):

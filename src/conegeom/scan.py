@@ -8,20 +8,19 @@ evidence: no negativity statement is asserted for degree >= 3, where the
 question is open.
 
 Reproducibility: all randomness for a sample with index ``i`` comes from
-``default_rng((seed, i))``, so reports are identical however the samples are
-scheduled, including across worker counts.
+``default_rng((seed, i))``, so each sample's draws depend only on the seed
+and its index.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoValidPoints
+from .errors import DegeneratePlane, NoValidPoints
 from .curvature import riemann_at, sectional_from_curvature
 from .metric import is_positive_definite, metric_at
 from .tensors import IntersectionTensor, as_point, volume
@@ -233,7 +232,7 @@ def _refine_plane(curv, u, v):
                         vv = np.cos(theta) * base_v + np.sin(theta) * e
                     try:
                         return sectional_from_curvature(curv, uu, vv)
-                    except Exception:
+                    except DegeneratePlane:
                         return -np.inf
 
                 theta, val = _golden_max(k_of, -0.6, 0.6)
@@ -256,7 +255,6 @@ def scan_sectional(
     planes_per_point: int = 32,
     optimize: bool = False,
     seed: int = 0,
-    workers: int = 1,
 ) -> ScanReport:
     """Sample sectional curvatures over tangent 2-planes at the given points.
 
@@ -268,7 +266,6 @@ def scan_sectional(
     planes_per_point : number of g-orthonormal random planes per point.
     optimize : refine the largest sample by plane-space ascent.
     seed : drives all plane randomness, per-sample substreams.
-    workers : evaluation thread count; the report is identical for any value.
     """
     valid = []
     for p in points:
@@ -283,26 +280,12 @@ def scan_sectional(
     if c.N < 2:
         raise NoValidPoints("no tangent 2-planes exist in a one-dimensional cone")
     curvs = [riemann_at(c, t) for t in valid]
-    tasks = [
-        (pi * planes_per_point + j, pi)
-        for pi in range(len(valid))
-        for j in range(planes_per_point)
-    ]
-
-    def run(task):
-        idx, pi = task
-        rng = np.random.default_rng((seed, idx))
-        curv = curvs[pi]
-        u, v = _orthonormal_pair(curv.metric.g, rng)
-        k_val = sectional_from_curvature(curv, u, v)
-        return idx, pi, k_val, u, v
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+    results = []
+    for pi, curv in enumerate(curvs):
+        for j in range(planes_per_point):
+            idx = pi * planes_per_point + j
+            u, v = _orthonormal_pair(curv.metric.g, np.random.default_rng((seed, idx)))
+            results.append((idx, pi, sectional_from_curvature(curv, u, v), u, v))
 
     k_values = np.array([r[2] for r in results])
     i_min = int(np.argmin(k_values))

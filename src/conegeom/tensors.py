@@ -247,9 +247,3 @@ def vol_derivatives(c: IntersectionTensor, point, order: int):
             arrays.append(_densify(reduced[k], k, c.N, 1.0 / math.factorial(c.n - k)))
     return tuple(arrays)
 
-
-def volume_and_derivatives(c: IntersectionTensor, point, order: int):
-    """Volume together with its derivative arrays; shared workhorse for the
-    metric and curvature modules."""
-    vol = volume(c, point)
-    return vol, vol_derivatives(c, point, order)

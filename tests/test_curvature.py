@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from conegeom import load_fixture
 from conegeom.curvature import (
     christoffel_at,
     fd_curvature_oracle,
@@ -10,7 +13,7 @@ from conegeom.curvature import (
 )
 from conegeom.errors import DegeneratePlane, SingularMetric
 from conegeom.metric import metric_at
-from conegeom.tensors import IntersectionTensor
+from conegeom.tensors import IntersectionTensor, vol_derivatives, volume
 
 from conftest import anchor_of, random_interior_point
 
@@ -18,6 +21,17 @@ CUBIC = IntersectionTensor(n=3, N=1, entries={(0, 0, 0): 6.0})
 BLOWUP = IntersectionTensor(n=2, N=2, entries={(0, 0): 1.0, (1, 1): -1.0})
 RANK3 = IntersectionTensor(n=2, N=3, entries={(0, 1): 1.0, (2, 2): -2.0})
 CURVED3 = IntersectionTensor(n=3, N=3, entries={(0, 0, 0): 0.6, (0, 1, 2): 1.0})
+# Every cubic monomial present: the elementary symmetric polynomial e3 in six
+# variables (hyperbolic, so g > 0 near (1, ..., 1)) plus small other entries.
+_DENSE_RNG = np.random.default_rng(6)
+DENSE6 = IntersectionTensor(
+    n=3,
+    N=6,
+    entries={
+        idx: 1.0 if len(set(idx)) == 3 else 0.1 * float(_DENSE_RNG.uniform(-1.0, 1.0))
+        for idx in itertools.combinations_with_replacement(range(6), 3)
+    },
+)
 
 
 def symmetry_residuals(r):
@@ -36,6 +50,63 @@ def symmetry_residuals(r):
 def rel_tensor_err(a, b, g):
     scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(g))) ** 2)
     return float(np.max(np.abs(a - b))) / scale
+
+
+def coordinate_riemann(c, t):
+    """Reference curvature: the general coordinate formula
+    ``R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} + Gamma Gamma - Gamma Gamma``
+    with exact third and fourth potential derivatives, where
+    ``d_i Gamma^l_{jk} = (g^{lm} F_{mjki} - g^{la} F_{aib} g^{bm} F_{mjk}) / 2``.
+    It shares no algebra with the Hessian-metric identity in ``riemann_at``.
+    """
+    vol = volume(c, t)
+    v1, v2, v3, v4 = vol_derivatives(c, t, 4)
+    sym3 = (
+        np.einsum("ij,k->ijk", v2, v1)
+        + np.einsum("ik,j->ijk", v2, v1)
+        + np.einsum("jk,i->ijk", v2, v1)
+    )
+    f3 = -(v3 / vol - sym3 / vol**2 + 2.0 * np.einsum("i,j,k->ijk", v1, v1, v1) / vol**3)
+    sym31 = (
+        np.einsum("ijk,l->ijkl", v3, v1)
+        + np.einsum("ijl,k->ijkl", v3, v1)
+        + np.einsum("ikl,j->ijkl", v3, v1)
+        + np.einsum("jkl,i->ijkl", v3, v1)
+    )
+    sym22 = (
+        np.einsum("ij,kl->ijkl", v2, v2)
+        + np.einsum("ik,jl->ijkl", v2, v2)
+        + np.einsum("il,jk->ijkl", v2, v2)
+    )
+    sym211 = (
+        np.einsum("ij,k,l->ijkl", v2, v1, v1)
+        + np.einsum("ik,j,l->ijkl", v2, v1, v1)
+        + np.einsum("il,j,k->ijkl", v2, v1, v1)
+        + np.einsum("jk,i,l->ijkl", v2, v1, v1)
+        + np.einsum("jl,i,k->ijkl", v2, v1, v1)
+        + np.einsum("kl,i,j->ijkl", v2, v1, v1)
+    )
+    f4 = -(
+        v4 / vol
+        - (sym31 + sym22) / vol**2
+        + 2.0 * sym211 / vol**3
+        - 6.0 * np.einsum("i,j,k,l->ijkl", v1, v1, v1, v1) / vol**4
+    )
+    g = metric_at(c, t).g
+    g_inv = np.linalg.inv(g)
+    gamma2 = 0.5 * np.einsum("lm,mjk->ljk", g_inv, f3)
+    dgamma2 = 0.5 * (
+        np.einsum("lm,mjki->iljk", g_inv, f4)
+        - np.einsum("la,aib,bm,mjk->iljk", g_inv, f3, g_inv, f3)
+    )
+    r_up = (
+        np.einsum("iljk->lijk", dgamma2)
+        - np.einsum("jlik->lijk", dgamma2)
+        + np.einsum("lim,mjk->lijk", gamma2, gamma2)
+        - np.einsum("ljm,mik->lijk", gamma2, gamma2)
+    )
+    # R[a, b, k, l] = g(R(e_k, e_l) e_a, e_b) has components r_up[m, k, l, a].
+    return np.einsum("bm,mkla->abkl", g, r_up)
 
 
 class TestChristoffel:
@@ -101,6 +172,7 @@ class TestRiemann:
             (BLOWUP, [2.0, 1.0]),
             (RANK3, [1.0, 1.0, 0.0]),
             (CURVED3, [1.0, 1.0, 1.0]),
+            (DENSE6, np.ones(6)),
         ):
             for _ in range(4):
                 t = random_interior_point(c, np.asarray(anchor, float), rng, spread=0.15)
@@ -108,18 +180,32 @@ class TestRiemann:
                 fd = fd_curvature_oracle(c, t, 3e-4)
                 assert rel_tensor_err(exact.riemann, fd.riemann, exact.metric.g) < 1e-5
 
-    def test_whitened_assembly_matches_direct_coordinates(self):
-        # The frame-whitened evaluation is an optimization; the plain
-        # flat-coordinate formula is the reference it must reproduce.
+    def test_matches_coordinate_formula(self):
         rng = np.random.default_rng(14)
-        for c, anchor in ((RANK3, [1.0, 1.0, 0.0]), (CURVED3, [1.0, 1.0, 1.0])):
+        n3b = load_fixture("synthetic_n3_b").tensor
+        for c, anchor in (
+            (RANK3, [1.0, 1.0, 0.0]),
+            (CURVED3, [1.0, 1.0, 1.0]),
+            (n3b, [1.0, 1.0, 1.0]),
+            (DENSE6, np.ones(6)),
+        ):
             for _ in range(5):
                 t = random_interior_point(c, np.asarray(anchor, float), rng, spread=0.15)
-                fast = riemann_at(c, t, whiten=True)
-                ref = riemann_at(c, t, whiten=False)
-                scale = max(float(np.max(np.abs(ref.riemann))), 1e-12)
-                assert float(np.max(np.abs(fast.riemann - ref.riemann))) / scale < 1e-11
-                assert fast.riemann_white is not None and ref.riemann_white is None
+                ref = coordinate_riemann(c, t)
+                scale = max(float(np.max(np.abs(ref))), 1e-12)
+                assert float(np.max(np.abs(riemann_at(c, t).riemann - ref))) / scale < 1e-10
+
+    def test_indefinite_metric_matches_coordinate_formula(self):
+        # Vol > 0 but g indefinite: the identity needs only an invertible g.
+        # Here the reference itself is off by 7e-10 relative (cancellation in
+        # F4; against a 50-digit evaluation the identity is off by 1.4e-12).
+        t = np.array([1.08563099, -0.52591432, -0.22499772, -0.6805052, 0.59766188, 0.03588425])
+        curv = riemann_at(DENSE6, t)
+        assert curv.metric.vol > 0 and np.linalg.eigvalsh(curv.metric.g)[0] < 0
+        ref = coordinate_riemann(DENSE6, t)
+        assert float(np.max(np.abs(curv.riemann - ref))) / float(np.max(np.abs(ref))) < 1e-8
+        for value in symmetry_residuals(curv.riemann).values():
+            assert value < 1e-12
 
     def test_dilation_invariance(self):
         rng = np.random.default_rng(4)

@@ -149,6 +149,21 @@ class TestBoundaryRay:
         with pytest.raises(VolumeNotPositive):
             boundary_ray_study(BLOWUP, [0.0, 1.0], [1.0, 0.0], t_mins=[0.5])
 
+    def test_octave_count_is_exact(self, monkeypatch):
+        # 2**-29 spans exactly 29 octaves; a float log with base 2 rounds the
+        # count up to 30 and integrates an extra octave of panels.
+        import conegeom.geodesics as geodesics
+
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return metric_at(*args)
+
+        monkeypatch.setattr(geodesics, "metric_at", counted)
+        boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=[2.0**-29])
+        assert len(calls) == 8 * 4 * 29
+
     def test_quadrature_refinement_stable(self):
         coarse = boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=[1e-4], panels_per_octave=4)
         fine = boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=[1e-4], panels_per_octave=8)

@@ -59,12 +59,6 @@ class TestScanSectional:
         b = scan_sectional(CURVED3, pts, planes_per_point=8, seed=3)
         assert a.to_dict() == b.to_dict()
 
-    def test_parallel_equals_serial(self):
-        pts = points_for(CURVED3, [1.0, 1.0, 1.0], count=10)
-        serial = scan_sectional(CURVED3, pts, planes_per_point=8, seed=3, workers=1)
-        parallel = scan_sectional(CURVED3, pts, planes_per_point=8, seed=3, workers=4)
-        assert serial.to_dict() == parallel.to_dict()
-
     def test_reported_values_reproducible_by_direct_call(self):
         pts = points_for(CURVED3, [1.0, 1.0, 1.0], count=6)
         report = scan_sectional(CURVED3, pts, planes_per_point=6, seed=1)
@@ -79,6 +73,24 @@ class TestScanSectional:
         assert opt.k_max >= raw.k_max
         point, u, v = opt.k_max_plane
         assert sectional(CURVED3, point, u, v) == pytest.approx(opt.k_max, abs=1e-12)
+
+    def test_optimizer_propagates_unexpected_errors(self, monkeypatch):
+        # Only a degenerate plane may read as -inf during refinement.
+        import conegeom.scan as scan_module
+
+        real = scan_module.sectional_from_curvature
+        calls = []
+
+        def failing_after_start(curv, u, v):
+            calls.append(None)
+            if len(calls) > 2 * 4 + 1:  # the raw samples and the ascent's start
+                raise RuntimeError("defect inside the curvature contraction")
+            return real(curv, u, v)
+
+        monkeypatch.setattr(scan_module, "sectional_from_curvature", failing_after_start)
+        pts = points_for(CURVED3, [1.0, 1.0, 1.0], count=2)
+        with pytest.raises(RuntimeError):
+            scan_sectional(CURVED3, pts, planes_per_point=4, optimize=True)
 
     def test_histogram_counts_match_samples(self):
         pts = points_for(CURVED3, [1.0, 1.0, 1.0], count=5)
