@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegeneratePlane, SingularMetric
-from .metric import MetricAtPoint, metric_at
-from .tensors import IntersectionTensor, as_point, as_vector, vol_derivatives
+from .metric import MetricAtPoint, _metric_at, _metric_jet
+from .tensors import IntersectionTensor, as_point, as_vector
 
 __all__ = [
     "CurvatureAtPoint",
@@ -86,9 +86,8 @@ def _metric_inverse(g: np.ndarray):
 def christoffel_at(c: IntersectionTensor, point) -> CurvatureAtPoint:
     """Christoffel symbols of the cone metric (Riemann part left unset)."""
     pt = as_point(point)
-    data = metric_at(c, pt)
-    v1, v2, v3 = vol_derivatives(c, pt, 3)
-    f3 = _potential_third(data.vol, v1, v2, v3)
+    data, (vol, v1, v2, v3) = _metric_at(c, pt, 3)
+    f3 = _potential_third(vol, v1, v2, v3)
     g_inv, cond = _metric_inverse(data.g)
     gamma1 = 0.5 * f3
     gamma2 = np.einsum("lm,mjk->ljk", g_inv, gamma1)
@@ -130,8 +129,11 @@ def sectional_from_curvature(curv: CurvatureAtPoint, u, v) -> float:
     """Sectional curvature of span{u, v} from precomputed curvature data."""
     if curv.riemann is None:
         raise ValueError("curvature data lacks the Riemann tensor")
-    uvec = as_vector(u).u
-    vvec = as_vector(v).u
+    return _sectional(curv, as_vector(u).u, as_vector(v).u)
+
+
+def _sectional(curv: CurvatureAtPoint, uvec: np.ndarray, vvec: np.ndarray) -> float:
+    # sectional_from_curvature on plain arrays, for loops over many planes.
     g = curv.metric.g
     guu = float(uvec @ g @ uvec)
     gvv = float(vvec @ g @ vvec)
@@ -156,7 +158,7 @@ def sectional(c: IntersectionTensor, point, u, v) -> float:
 def fd_curvature_oracle(c: IntersectionTensor, point, step: float) -> CurvatureAtPoint:
     """Curvature via central finite differences of the metric alone.
 
-    Independent of the exact-derivative route: only ``metric_at`` evaluations
+    Independent of the exact-derivative route: only metric evaluations
     enter, combined through the Koszul formula and the coordinate expression
     for the curvature.  Intended for tests; accuracy is ``O(step^2)``.
     """
@@ -168,9 +170,9 @@ def fd_curvature_oracle(c: IntersectionTensor, point, step: float) -> CurvatureA
         raise ValueError(f"step {step!r} underflows at this point scale")
 
     def gmat(x):
-        return metric_at(c, x).g
+        return _metric_jet(c, x)[0]
 
-    data = metric_at(c, pt)
+    data = _metric_at(c, pt)[0]
     g0 = data.g
     h = float(step)
     eye = np.eye(N)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VolumeNotPositive
-from .metric import metric_at
-from .tensors import IntersectionTensor, as_point, as_vector, vol_derivatives, volume
+from .metric import _hessian_metric, _metric_jet, metric_at
+from .tensors import IntersectionTensor, _check_dim, _coords, _jet, as_point, as_vector, volume
 
 __all__ = [
     "GeodesicPath",
@@ -110,7 +110,7 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     u = as_vector(u0).u
     data = metric_at(c, pt)
     vol0 = data.vol
-    speed2 = data.norm_sq(u)
+    speed2 = float(u @ data.g @ u)
     if speed2 <= 0:
         raise ValueError("initial direction has nonpositive metric norm")
     if arclength <= 0:
@@ -120,14 +120,12 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     exit_level = VOLUME_EXIT_FACTOR * vol0
 
     def rhs(state):
-        # Lean geodesic right-hand side: one derivative cascade, one solve.
-        point = state[:N]
+        # Lean geodesic right-hand side: one volume jet, one solve.
         vel = state[N:]
-        v1, v2, v3 = vol_derivatives(c, point, 3)
-        vol = float(point @ v1) / c.n  # Euler identity
+        vol, v1, v2, v3 = _jet(c, state[:N], 3)
         if vol <= exit_level:
             raise _BoundaryHit
-        g = np.outer(v1, v1) / vol**2 - v2 / vol
+        g = _hessian_metric(vol, v1, v2)
         # F_{ijk} v^j v^k contracted directly; F is the log-volume potential.
         v1v = float(v1 @ vel)
         v2v = v2 @ vel
@@ -141,9 +139,6 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
         except np.linalg.LinAlgError:
             raise _BoundaryHit from None
         return np.concatenate([vel, acc])
-
-    def speed_at(state):
-        return metric_at(c, state[:N]).norm_sq(state[N:])
 
     # Local budgets: embedded error and per-step speed drift proportional to
     # the step fraction of the run.
@@ -173,11 +168,12 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
         y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k))
         err = float(np.max(np.abs(y5 - y4))) / max(1.0, float(np.max(np.abs(y5))))
         try:
-            sp = speed_at(y5)
+            g, (vol, _, _) = _metric_jet(c, y5[:N])
         except VolumeNotPositive:
             boundary_reject = True
             h *= 0.5
             continue
+        sp = float(y5[N:] @ g @ y5[N:])
         drift = abs(sp - 1.0)
         if err > err_tol_per_unit * h or drift > max(tol, err_tol_per_unit * h * 10):
             boundary_reject = False
@@ -186,7 +182,7 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
         s_val += h
         y = y5
         samples.append((s_val, y.copy(), sp))
-        if volume(c, y[:N]) <= exit_level:
+        if vol <= exit_level:
             status = "exited_volume_cone"
             break
         boundary_reject = False
@@ -210,7 +206,7 @@ def _segment_length(c, a, b):
     total = 0.0
     for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
         x = a + 0.5 * (node + 1.0) * delta
-        q = metric_at(c, x).norm_sq(delta)
+        q = float(delta @ _metric_jet(c, x)[0] @ delta)
         if q < 0:
             raise ValueError("path crosses a region where the metric is indefinite")
         total += weight * math.sqrt(q)
@@ -227,8 +223,10 @@ def path_length(c: IntersectionTensor, points) -> float:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1 or pts.shape[1] != c.N:
         raise ValueError(f"expected a list of points of dimension {c.N}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("path points must be finite")
     for p in pts:
-        if volume(c, p) <= 0:
+        if _jet(c, p, 0)[0] <= 0:
             raise VolumeNotPositive(f"path sample {p.tolist()} has nonpositive volume")
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
@@ -296,10 +294,10 @@ def _ray_length(c, alpha, omega, t_lo, t_hi, panels_per_octave=4):
         mid = 0.5 * (hi + lo)
         for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
             tau = mid + half * node
-            x = alpha + tau * omega
-            if volume(c, x) <= 0:
+            vol, v1, v2 = _jet(c, alpha + tau * omega, 2)
+            if vol <= 0:
                 raise VolumeNotPositive(f"ray point at parameter {tau!r} has nonpositive volume")
-            total += weight * half * math.sqrt(metric_at(c, x).norm_sq(omega))
+            total += weight * half * math.sqrt(float(omega @ _hessian_metric(vol, v1, v2) @ omega))
     return total
 
 
@@ -319,20 +317,21 @@ def boundary_ray_study(
     lengths track a log-volume bound that has grown past ten times the first
     segment's length.
     """
-    a = as_point(alpha).t
+    a = _coords(c, alpha)
     w = as_vector(omega).u
+    _check_dim(c, w, "ray direction")
     if t_mins is None:
         t_mins = [2.0**-k for k in range(1, 21)]
     t_mins = sorted((float(x) for x in t_mins), reverse=True)
     rows = []
-    vol_top = volume(c, a + w)
+    vol_top = _jet(c, a + w, 0)[0]
     if vol_top <= 0:
         raise VolumeNotPositive("ray endpoint at t = 1 has nonpositive volume")
     for t_min in t_mins:
         if not 0 < t_min < 1:
             raise ValueError(f"t_min values must lie in (0, 1), got {t_min!r}")
         length = _ray_length(c, a, w, t_min, 1.0, panels_per_octave)
-        vol_lo = volume(c, a + t_min * w)
+        vol_lo = _jet(c, a + t_min * w, 0)[0]
         bound = abs(math.log(vol_top) - math.log(vol_lo)) / math.sqrt(c.n)
         rows.append((t_min, length, bound))
     flag = "inconclusive"

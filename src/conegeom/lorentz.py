@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, VolumeNotPositive, WrongSignature
-from .metric import is_positive_definite, metric_at
-from .tensors import IntersectionTensor, as_point, volume
+from .metric import _metric_jet, is_positive_definite
+from .tensors import IntersectionTensor, _coords, _jet
 
 __all__ = [
     "LorentzModel",
@@ -72,11 +72,7 @@ def gram_matrix(c: IntersectionTensor) -> np.ndarray:
     """Gram matrix ``M[i, j] = c(e_i, e_j)`` of a degree-2 tensor."""
     if c.n != 2:
         raise DimensionMismatch(f"surface reduction requires degree 2, got n = {c.n}")
-    m = np.zeros((c.N, c.N))
-    for i in range(c.N):
-        for j in range(c.N):
-            m[i, j] = c.value((i, j))
-    return m
+    return np.array(c.dense)
 
 
 def signature_counts(m: np.ndarray, rtol: float = SIGNATURE_RTOL):
@@ -104,8 +100,8 @@ def reduce_to_standard(c: IntersectionTensor, omega0) -> LorentzModel:
         raise WrongSignature(
             f"Gram matrix has signature ({pos}, {neg}) with {null} null directions; expected (1, {c.N - 1})"
         )
-    w0 = as_point(omega0).t
-    vol0 = volume(c, w0)
+    w0 = _coords(c, omega0)
+    vol0 = _jet(c, w0, 0)[0]
     if vol0 <= 0:
         raise VolumeNotPositive(f"volume {vol0!r} of the reference class is not positive")
     b0 = w0 / np.sqrt(vol0)  # b0^T M b0 = 2 Vol(b0) = 2
@@ -211,8 +207,8 @@ def lorentz_isometry_check(
         t = model.to_original(point)
         lam = _random_group_element(model, rng)
         a_mat = model.B @ lam @ model.B_inv
-        g_here = metric_at(c, t).g
-        g_moved = metric_at(c, a_mat @ t).g
+        g_here = _metric_jet(c, t)[0]
+        g_moved = _metric_jet(c, a_mat @ t)[0]
         resid = a_mat.T @ g_moved @ a_mat - g_here
         max_resid = max(max_resid, float(np.max(np.abs(resid)) / np.max(np.abs(g_here))))
     return IsometryReport(max_residual=max_resid, n_samples=samples, tol=tol)
@@ -247,8 +243,7 @@ def full_cone_check(
     pts = _sample_reduced_points(model, samples, rng, radius=radius)
     for point in pts:
         t = model.to_original(point)
-        g = metric_at(c, t).g
-        if is_positive_definite(g):
+        if is_positive_definite(_metric_jet(c, t)[0]):
             n_pd += 1
         else:
             failures.append(t.tolist())

@@ -24,12 +24,14 @@ from .errors import (
     VolumeNotPositive,
 )
 from .tensors import (
+    ConePoint,
     IntersectionTensor,
     TangentVector,
+    _check_dim,
+    _coords,
+    _jet,
     as_point,
     as_vector,
-    vol_derivatives,
-    volume,
 )
 
 __all__ = [
@@ -104,6 +106,32 @@ def is_positive_definite(g: np.ndarray, pivot_rtol: float = PD_PIVOT_RTOL) -> bo
     return True
 
 
+def _hessian_metric(vol: float, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    # g = V1 V1^T / Vol^2 - V2 / Vol = Hess(-log Vol), made exactly symmetric.
+    g = np.outer(v1, v1) / vol**2 - v2 / vol
+    return 0.5 * (g + g.T)
+
+
+def _metric_jet(c: IntersectionTensor, t: np.ndarray, order: int = 2):
+    """The metric and the volume jet ``(Vol, V_1, ..., V_order)`` at
+    coordinates already checked; inner loops call this with plain arrays."""
+    jet = _jet(c, t, order)
+    if jet[0] <= 0.0:
+        raise VolumeNotPositive(f"volume {jet[0]!r} at point {t.tolist()} is not positive")
+    return _hessian_metric(*jet[:3]), jet
+
+
+def _metric_at(c: IntersectionTensor, pt: ConePoint, order: int = 2):
+    """:func:`metric_at` for a validated point, with the jet it took."""
+    _check_dim(c, pt.t, "base point")
+    g, jet = _metric_jet(c, pt.t, order)
+    vol, v1 = jet[:2]
+    data = MetricAtPoint(g=g, vol=vol, grad_logvol=-v1 / vol, point=pt.t)
+    if pt.claimed_kahler and not is_positive_definite(g):
+        raise NotPositiveDefinite("metric is not positive-definite at a point claimed to lie in the cone")
+    return data, jet
+
+
 def metric_at(c: IntersectionTensor, point) -> MetricAtPoint:
     """Evaluate the Hessian metric ``-Hess log Vol`` at a point.
 
@@ -115,20 +143,7 @@ def metric_at(c: IntersectionTensor, point) -> MetricAtPoint:
         If the point is claimed to lie in the positivity cone but the metric
         fails the factorization test (the claim is then untenable).
     """
-    pt = as_point(point)
-    t = pt.t
-    vol = volume(c, pt)
-    if vol <= 0.0:
-        raise VolumeNotPositive(f"volume {vol!r} at point {t.tolist()} is not positive")
-    v1, v2 = vol_derivatives(c, pt, 2)
-    g = np.outer(v1, v1) / vol**2 - v2 / vol
-    g = 0.5 * (g + g.T)
-    data = MetricAtPoint(g=g, vol=vol, grad_logvol=-v1 / vol, point=t)
-    if pt.claimed_kahler and not is_positive_definite(g):
-        raise NotPositiveDefinite(
-            "metric is not positive-definite at a point claimed to lie in the cone"
-        )
-    return data
+    return _metric_at(c, as_point(point))[0]
 
 
 def primitive_decompose(c: IntersectionTensor, point, u):
@@ -137,19 +152,17 @@ def primitive_decompose(c: IntersectionTensor, point, u):
     ``u0 = P_1(u; t) / (n Vol(t))``, which makes ``P_1(u1; t) = 0``.  Returns
     the pair ``(u0, u1)``.
     """
-    pt = as_point(point)
+    t = _coords(c, point)
     uvec = as_vector(u).u
-    if uvec.shape != (c.N,):
-        raise DimensionMismatch(f"tangent vector has shape {uvec.shape}, expected ({c.N},)")
-    vol = volume(c, pt)
+    _check_dim(c, uvec, "tangent vector")
+    vol, v1 = _jet(c, t, 1)
     if vol <= 0.0:
         raise VolumeNotPositive(f"volume {vol!r} is not positive")
-    (v1,) = vol_derivatives(c, pt, 1)
     u0 = float(v1 @ uvec) / (c.n * vol)
-    u1 = uvec - u0 * pt.t
+    u1 = uvec - u0 * t
     # A radial input leaves only rounding junk in u1; make it exactly zero so
     # the primitive part stays primitive by the levelset tolerance.
-    if np.linalg.norm(u1) <= 1e-14 * max(np.linalg.norm(uvec), abs(u0) * np.linalg.norm(pt.t)):
+    if np.linalg.norm(u1) <= 1e-14 * max(np.linalg.norm(uvec), abs(u0) * np.linalg.norm(t)):
         u1 = np.zeros_like(u1)
     return u0, TangentVector(u1)
 
@@ -165,16 +178,15 @@ def levelset_metric(c: IntersectionTensor, point, u, v) -> float:
     Both arguments must be primitive at the base point; a vector whose radial
     pairing exceeds the documented tolerance raises :class:`NotPrimitive`.
     """
-    pt = as_point(point)
+    t = _coords(c, point)
     uvec = as_vector(u).u
     vvec = as_vector(v).u
-    vol = volume(c, pt)
+    vol, v1, v2 = _jet(c, t, 2)
     if vol <= 0.0:
         raise VolumeNotPositive(f"volume {vol!r} is not positive")
-    v1, v2 = vol_derivatives(c, pt, 2)
     for name, w in (("u", uvec), ("v", vvec)):
         p1 = float(v1 @ w)
-        if abs(p1) > _primitivity_bound(c, pt.t, w):
+        if abs(p1) > _primitivity_bound(c, t, w):
             raise NotPrimitive(f"{name} is not primitive at the base point (P_1 = {p1!r})")
     return float(-(uvec @ v2 @ vvec) / vol)
 
@@ -227,15 +239,14 @@ def pullback_check(
     max_met = 0.0
     count = 0
     for point in points:
-        ty = as_point(point).t
+        ty = _coords(cY, point)
         tx = A @ ty
-        vol_y = volume(cY, ty)
+        vol_y = _jet(cY, ty, 0)[0]
         if vol_y <= 0:
             raise VolumeNotPositive(f"sample point {ty.tolist()} has nonpositive volume")
-        vol_x = volume(cX, tx)
+        gx, (vol_x, _, _) = _metric_jet(cX, tx)
         max_vol = max(max_vol, abs(vol_x - p * vol_y) / abs(p * vol_y))
-        gy = metric_at(cY, ty).g
-        gx = metric_at(cX, tx).g
+        gy = _metric_jet(cY, ty)[0]
         resid = A.T @ gx @ A - gy
         max_met = max(max_met, float(np.max(np.abs(resid)) / max(np.max(np.abs(gy)), 1e-300)))
         count += 1

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneratePlane, NoValidPoints
-from .curvature import riemann_at, sectional_from_curvature
-from .metric import is_positive_definite, metric_at
-from .tensors import IntersectionTensor, as_point, volume
+from .curvature import _sectional, riemann_at
+from .metric import _hessian_metric, is_positive_definite
+from .tensors import IntersectionTensor, _check_dim, _coords, _jet, as_point
 
 __all__ = [
     "ScanReport",
@@ -59,8 +59,8 @@ def sample_cone_points(
 
     Raises :class:`NoValidPoints` when the acceptance rate collapses.
     """
-    t0 = as_point(anchor).t
-    if volume(c, t0) <= 0:
+    t0 = _coords(c, anchor)
+    if _jet(c, t0, 0)[0] <= 0:
         raise NoValidPoints("anchor point has nonpositive volume")
     scale = spread * float(np.linalg.norm(t0)) / np.sqrt(c.N)
     points = []
@@ -69,9 +69,10 @@ def sample_cone_points(
         accepted = None
         for _ in range(max_tries):
             candidate = t0 + scale * rng.normal(size=c.N)
-            if volume(c, candidate) <= 0:
+            jet = _jet(c, candidate, 2)
+            if jet[0] <= 0:
                 continue
-            if require_pd and not is_positive_definite(metric_at(c, candidate).g):
+            if require_pd and not is_positive_definite(_hessian_metric(*jet)):
                 continue
             accepted = candidate
             break
@@ -206,7 +207,7 @@ def _refine_plane(curv, u, v):
         return a, b / np.sqrt(float(b @ g @ b))
 
     u, v = gs_pair(u, v)
-    best = sectional_from_curvature(curv, u, v)
+    best = _sectional(curv, u, v)
     # Complete {u, v} to a g-orthonormal frame from the coordinate basis.
     frame = [u, v]
     for i in range(n):
@@ -231,7 +232,7 @@ def _refine_plane(curv, u, v):
                     else:
                         vv = np.cos(theta) * base_v + np.sin(theta) * e
                     try:
-                        return sectional_from_curvature(curv, uu, vv)
+                        return _sectional(curv, uu, vv)
                     except DegeneratePlane:
                         return -np.inf
 
@@ -269,30 +270,30 @@ def scan_sectional(
     """
     valid = []
     for p in points:
-        t = as_point(p).t
-        if volume(c, t) <= 0:
+        pt = as_point(p)
+        _check_dim(c, pt.t, "base point")
+        jet = _jet(c, pt.t, 2)
+        if jet[0] <= 0 or not is_positive_definite(_hessian_metric(*jet)):
             continue
-        if not is_positive_definite(metric_at(c, t).g):
-            continue
-        valid.append(t)
+        valid.append(pt)
     if not valid:
         raise NoValidPoints("no sampled point has positive volume and positive-definite metric")
     if c.N < 2:
         raise NoValidPoints("no tangent 2-planes exist in a one-dimensional cone")
-    curvs = [riemann_at(c, t) for t in valid]
+    curvs = [riemann_at(c, pt) for pt in valid]
     results = []
     for pi, curv in enumerate(curvs):
         for j in range(planes_per_point):
             idx = pi * planes_per_point + j
             u, v = _orthonormal_pair(curv.metric.g, np.random.default_rng((seed, idx)))
-            results.append((idx, pi, sectional_from_curvature(curv, u, v), u, v))
+            results.append((idx, pi, _sectional(curv, u, v), u, v))
 
     k_values = np.array([r[2] for r in results])
     i_min = int(np.argmin(k_values))
     i_max = int(np.argmax(k_values))
     k_min, k_max = float(k_values[i_min]), float(k_values[i_max])
-    min_plane = (valid[results[i_min][1]], results[i_min][3], results[i_min][4])
-    max_plane = (valid[results[i_max][1]], results[i_max][3], results[i_max][4])
+    min_plane = (curvs[results[i_min][1]].base, results[i_min][3], results[i_min][4])
+    max_plane = (curvs[results[i_max][1]].base, results[i_max][3], results[i_max][4])
 
     optimized = False
     if optimize:
@@ -301,14 +302,14 @@ def scan_sectional(
         # The optimizer never reports less than the best raw sample.
         if refined > k_max:
             k_max = refined
-            max_plane = (valid[pi], u_ref, v_ref)
+            max_plane = (curvs[pi].base, u_ref, v_ref)
         optimized = True
 
     counts, edges = np.histogram(k_values, bins=HISTOGRAM_BINS)
     return ScanReport(
         tensor=tensor_id(c),
         seed=seed,
-        points=[t for t in valid],
+        points=[curv.base for curv in curvs],
         k_samples=[(r[0], r[1], r[2]) for r in results],
         k_min=k_min,
         k_max=k_max,
@@ -330,24 +331,22 @@ def signature_profile(c: IntersectionTensor, points, seed: int = 0) -> ScanRepor
     from .lorentz import signature_counts
 
     entries = []
-    used = []
     n_pd = 0
     for p in points:
-        t = as_point(p).t
-        if volume(c, t) <= 0:
+        t = _coords(c, p)
+        jet = _jet(c, t, 2)
+        if jet[0] <= 0:
             continue
-        g = metric_at(c, t).g
-        pos, neg, null = signature_counts(g)
+        pos, neg, null = signature_counts(_hessian_metric(*jet))
         entries.append((t, pos, neg, null))
-        used.append(t)
         if pos == c.N:
             n_pd += 1
-    if not used:
+    if not entries:
         raise NoValidPoints("no sampled point has positive volume")
     return ScanReport(
         tensor=tensor_id(c),
         seed=seed,
-        points=used,
+        points=[e[0] for e in entries],
         signature_entries=entries,
-        fraction_positive_definite=n_pd / len(used),
+        fraction_positive_definite=n_pd / len(entries),
     )

@@ -1,18 +1,20 @@
 """Symmetric intersection tensors and derivatives of their volume polynomial.
 
 An :class:`IntersectionTensor` is a fully symmetric degree-``n`` multilinear
-form on ``R^N``, stored sparsely on sorted multi-indices.  It induces the
-homogeneous volume polynomial ``Vol(t) = c(t, ..., t) / n!`` whose positivity
-region carries the Hessian metric built in :mod:`conegeom.metric`.  This
-module evaluates the tensor against tangent vectors and base points and
-produces the exact partial-derivative arrays of ``Vol`` up to order four.
+form on ``R^N``, given by its entries on sorted multi-indices and expanded
+once, at construction, into a read-only dense array of all ``N^n``
+components.  It induces the homogeneous volume polynomial
+``Vol(t) = c(t, ..., t) / n!`` whose positivity region carries the Hessian
+metric built in :mod:`conegeom.metric`.  Every evaluation here contracts that
+array with vectors: the tensor against tangent vectors and base points, and
+the exact partial-derivative arrays of ``Vol`` up to order four.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,14 +29,17 @@ __all__ = [
     "vol_derivatives",
 ]
 
-
-def _distinct_permutations(index: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # n <= 4 in practice, so the brute-force set is at most 24 tuples.
-    return sorted(set(itertools.permutations(index)))
+# Largest dense array, in entries (80 MB of floats), a tensor may expand to.
+MAX_DENSE_ENTRIES = 10**7
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _finite_vector(x, what: str) -> np.ndarray:
+    # The input check of ConePoint and TangentVector; returns a read-only copy.
+    a = np.array(np.atleast_1d(x), dtype=float)
+    if a.ndim != 1:
+        raise ValueError(f"{what} must be a vector")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite")
     a.setflags(write=False)
     return a
 
@@ -54,17 +59,23 @@ class IntersectionTensor:
         ``range(N)``) to the real component value at that index.  Unsorted
         index tuples are rejected rather than symmetrized, so data errors
         surface early.  Components not listed are zero.
+
+    The read-only array ``dense`` of all ``N^n`` components is built once
+    from ``entries``; tensors with more than ``MAX_DENSE_ENTRIES`` are refused.
     """
 
     n: int
     N: int
     entries: dict[tuple[int, ...], float]
+    dense: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"degree n must be an integer >= 1, got {self.n!r}")
         if not isinstance(self.N, int) or self.N < 1:
             raise ValueError(f"rank N must be an integer >= 1, got {self.N!r}")
+        if self.N**self.n > MAX_DENSE_ENTRIES:
+            raise ValueError(f"dense array of {self.N**self.n:,} entries exceeds the limit of {MAX_DENSE_ENTRIES:,}")
         clean = {}
         for idx, val in self.entries.items():
             idx = tuple(int(i) for i in idx)
@@ -82,6 +93,15 @@ class IntersectionTensor:
         if not clean:
             raise ValueError("tensor must have at least one nonzero entry")
         object.__setattr__(self, "entries", clean)
+        # Every permutation of the axes sends each sorted index to one of its
+        # orderings; repeated indices just write the same value twice.
+        index = np.array(list(clean), dtype=np.intp).T
+        values = np.array(list(clean.values()))
+        dense = np.zeros((self.N,) * self.n)
+        for perm in itertools.permutations(range(self.n)):
+            dense[tuple(index[list(perm)])] = values
+        dense.setflags(write=False)
+        object.__setattr__(self, "dense", dense)
 
     def value(self, index) -> float:
         """Component of the symmetric form at an arbitrary (unsorted) index."""
@@ -108,12 +128,7 @@ class ConePoint:
     claimed_kahler: bool = False
 
     def __post_init__(self):
-        t = _readonly(np.atleast_1d(self.t))
-        if t.ndim != 1:
-            raise ValueError("cone point coordinates must be a vector")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("cone point coordinates must be finite")
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", _finite_vector(self.t, "cone point coordinates"))
 
 
 @dataclass(frozen=True)
@@ -123,12 +138,7 @@ class TangentVector:
     u: np.ndarray
 
     def __post_init__(self):
-        u = _readonly(np.atleast_1d(self.u))
-        if u.ndim != 1:
-            raise ValueError("tangent vector must be a vector")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("tangent vector entries must be finite")
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u", _finite_vector(self.u, "tangent vector"))
 
 
 def as_point(p, claimed_kahler: bool = False) -> ConePoint:
@@ -150,12 +160,38 @@ def _check_dim(c: IntersectionTensor, x: np.ndarray, what: str):
         raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({c.N},)")
 
 
+def _coords(c: IntersectionTensor, point) -> np.ndarray:
+    """Validated base-point coordinates, as the public functions take them."""
+    t = as_point(point).t
+    _check_dim(c, t, "base point")
+    return t
+
+
+def _jet(c: IntersectionTensor, t: np.ndarray, order: int):
+    """``(Vol, V_1, ..., V_order)`` at coordinates ``t`` already checked.
+
+    ``V_k = c(., ..., ., t, ..., t) / (n-k)!`` is the dense array with
+    ``n - k`` slots paired with ``t``; ``V_k`` for ``k > n`` is zero.
+    """
+    partial = [c.dense]
+    for _ in range(c.n):
+        partial.append(partial[-1] @ t)
+    jet = [float(partial[c.n]) / math.factorial(c.n)]
+    for k in range(1, order + 1):
+        if k > c.n:
+            jet.append(np.zeros((c.N,) * k))
+        else:
+            jet.append(partial[c.n - k] / math.factorial(c.n - k))
+    return tuple(jet)
+
+
 def contract(c: IntersectionTensor, vs, point) -> float:
     """Evaluate ``P_k(v_1, ..., v_k; t) = c(v_1, ..., v_k, t, ..., t) / (n-k)!``.
 
     The remaining ``n - k`` slots are filled with the base point ``t``.  With
     ``k = 0`` this is the volume polynomial itself; ``k = 1`` and ``k = 2``
-    are the pairings entering the metric.
+    are the pairings entering the metric.  The dense array is contracted with
+    ``t`` first, then with the vectors.
 
     Parameters
     ----------
@@ -167,59 +203,32 @@ def contract(c: IntersectionTensor, vs, point) -> float:
     -------
     float
     """
-    t = as_point(point).t
-    _check_dim(c, t, "base point")
+    t = _coords(c, point)
     vecs = [as_vector(v).u for v in vs]
     k = len(vecs)
     if k > c.n:
         raise DimensionMismatch(f"cannot contract {k} vectors into a degree-{c.n} form")
     for v in vecs:
         _check_dim(c, v, "tangent vector")
-    xs = vecs + [t] * (c.n - k)
-    total = 0.0
-    for idx, val in c.entries.items():
-        s = 0.0
-        for perm in _distinct_permutations(idx):
-            prod = 1.0
-            for slot, i in enumerate(perm):
-                prod *= xs[slot][i]
-            s += prod
-        total += val * s
-    return total / math.factorial(c.n - k)
+    a = c.dense
+    for x in [t] * (c.n - k) + vecs[::-1]:
+        a = a @ x
+    return float(a) / math.factorial(c.n - k)
 
 
 def volume(c: IntersectionTensor, point) -> float:
     """Volume polynomial ``Vol(t) = c(t, ..., t) / n!``, homogeneous of degree n."""
-    return contract(c, [], point)
-
-
-def _contract_once(entries: dict[tuple[int, ...], float], t: np.ndarray) -> dict[tuple[int, ...], float]:
-    # One slot of the symmetric form paired with t; input and output are both
-    # canonical sorted-index component maps.
-    out: dict[tuple[int, ...], float] = {}
-    for idx, val in entries.items():
-        for x in set(idx):
-            pos = idx.index(x)
-            reduced = idx[:pos] + idx[pos + 1:]
-            out[reduced] = out.get(reduced, 0.0) + val * t[x]
-    return out
-
-
-def _densify(entries: dict[tuple[int, ...], float], rank: int, N: int, scale: float) -> np.ndarray:
-    a = np.zeros((N,) * rank)
-    for idx, val in entries.items():
-        for perm in _distinct_permutations(idx):
-            a[perm] = val * scale
-    return a
+    return _jet(c, _coords(c, point), 0)[0]
 
 
 def vol_derivatives(c: IntersectionTensor, point, order: int):
     """Exact partial derivatives of the volume polynomial at ``t``.
 
     Returns the tuple ``(V_1, ..., V_order)`` where ``V_k`` is the fully
-    symmetric array of order-``k`` partials of ``Vol``.  Derivatives of order
-    greater than the degree ``n`` are identically zero and returned as zero
-    arrays.
+    symmetric array of order-``k`` partials of ``Vol``: the dense tensor with
+    its other ``n - k`` slots paired with ``t``, divided by ``(n-k)!``.
+    Derivatives of order greater than the degree ``n`` are identically zero
+    and returned as zero arrays.
 
     Parameters
     ----------
@@ -229,21 +238,4 @@ def vol_derivatives(c: IntersectionTensor, point, order: int):
     """
     if order not in (1, 2, 3, 4):
         raise ValueError(f"order must be in 1..4, got {order!r}")
-    t = as_point(point).t
-    _check_dim(c, t, "base point")
-    arrays = []
-    entries = c.entries
-    # Contract the base point into the form until rank n - k remains, then
-    # read off V_k = c(e_{i_1}, ..., e_{i_k}, t^{n-k}) / (n-k)!.
-    reduced = {c.n: entries}
-    cur = entries
-    for r in range(c.n - 1, -1, -1):
-        cur = _contract_once(cur, t)
-        reduced[r] = cur
-    for k in range(1, order + 1):
-        if k > c.n:
-            arrays.append(np.zeros((c.N,) * k))
-        else:
-            arrays.append(_densify(reduced[k], k, c.N, 1.0 / math.factorial(c.n - k)))
-    return tuple(arrays)
-
+    return _jet(c, _coords(c, point), order)[1:]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conegeom import load_fixture
 from conegeom.errors import VolumeNotPositive
 from conegeom.geodesics import (
     boundary_ray_study,
@@ -10,7 +11,6 @@ from conegeom.geodesics import (
     length_bound_check,
     path_length,
 )
-from conegeom.metric import metric_at
 from conegeom.tensors import IntersectionTensor
 
 from conftest import random_interior_point
@@ -155,12 +155,14 @@ class TestBoundaryRay:
         import conegeom.geodesics as geodesics
 
         calls = []
+        hessian_metric = geodesics._hessian_metric
 
         def counted(*args):
             calls.append(None)
-            return metric_at(*args)
+            return hessian_metric(*args)
 
-        monkeypatch.setattr(geodesics, "metric_at", counted)
+        # One metric per quadrature node.
+        monkeypatch.setattr(geodesics, "_hessian_metric", counted)
         boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=[2.0**-29])
         assert len(calls) == 8 * 4 * 29
 
@@ -168,3 +170,34 @@ class TestBoundaryRay:
         coarse = boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=[1e-4], panels_per_octave=4)
         fine = boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=[1e-4], panels_per_octave=8)
         assert abs(coarse.lengths[0] - fine.lengths[0]) < 0.01 * fine.lengths[0]
+
+
+class TestValidateOnce:
+    """Points and vectors are checked at the public call, not in its loops."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        from conegeom import tensors
+
+        calls = []
+        for cls in (tensors.ConePoint, tensors.TangentVector):
+
+            def counted(obj, post=cls.__post_init__):
+                calls.append(None)
+                post(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        return calls
+
+    def test_boundary_ray_study(self, validations):
+        tf = load_fixture("blowup_p2")
+        (alpha,) = tf.metadata["boundary_points"]
+        (omega,) = tf.metadata["kahler_points"]
+        boundary_ray_study(tf.tensor, alpha, omega)
+        assert len(validations) <= 4
+
+    def test_geodesic_shoot(self, validations):
+        tf = load_fixture("blowup_p2")
+        (t0,) = tf.metadata["kahler_points"]
+        geodesic_shoot(tf.tensor, t0, (1, 0.3), 1.0)
+        assert len(validations) <= 4

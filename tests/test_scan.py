@@ -78,7 +78,7 @@ class TestScanSectional:
         # Only a degenerate plane may read as -inf during refinement.
         import conegeom.scan as scan_module
 
-        real = scan_module.sectional_from_curvature
+        real = scan_module._sectional
         calls = []
 
         def failing_after_start(curv, u, v):
@@ -87,7 +87,7 @@ class TestScanSectional:
                 raise RuntimeError("defect inside the curvature contraction")
             return real(curv, u, v)
 
-        monkeypatch.setattr(scan_module, "sectional_from_curvature", failing_after_start)
+        monkeypatch.setattr(scan_module, "_sectional", failing_after_start)
         pts = points_for(CURVED3, [1.0, 1.0, 1.0], count=2)
         with pytest.raises(RuntimeError):
             scan_sectional(CURVED3, pts, planes_per_point=4, optimize=True)

@@ -1,13 +1,77 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from conegeom import load_fixture
 from conegeom.errors import DimensionMismatch
 from conegeom.tensors import IntersectionTensor, contract, vol_derivatives, volume
 
+from conftest import ALL_FIXTURES
+
 BLOWUP = IntersectionTensor(n=2, N=2, entries={(0, 0): 1.0, (1, 1): -1.0})
 CUBIC = IntersectionTensor(n=3, N=1, entries={(0, 0, 0): 6.0})
+
+
+def sparse_contract(c, vs, t):
+    """Reference ``c(v_1, ..., v_k, t, ..., t) / (n-k)!`` straight from the
+    sorted-index entries: each entry is spread over its distinct orderings."""
+    xs = [np.asarray(v, dtype=float) for v in vs]
+    xs += [np.asarray(t, dtype=float)] * (c.n - len(xs))
+    total = 0.0
+    for idx, val in c.entries.items():
+        for perm in set(itertools.permutations(idx)):
+            total += val * math.prod(x[i] for x, i in zip(xs, perm))
+    return total / math.factorial(c.n - len(vs))
+
+
+def dense_random_tensor(n, N, seed):
+    rng = np.random.default_rng(seed)
+    indices = itertools.combinations_with_replacement(range(N), n)
+    return IntersectionTensor(n=n, N=N, entries={idx: rng.normal() for idx in indices})
+
+
+def _kernel_cases():
+    for name in ALL_FIXTURES:
+        yield pytest.param(lambda name=name: load_fixture(name).tensor, id=name)
+    yield pytest.param(lambda: dense_random_tensor(3, 6, seed=36), id="dense_3_6")
+    yield pytest.param(lambda: dense_random_tensor(4, 5, seed=45), id="dense_4_5")
+
+
+@pytest.mark.parametrize("make", _kernel_cases())
+def test_dense_kernel_matches_sparse_reference(make):
+    c = make()
+    abs_c = IntersectionTensor(c.n, c.N, {k: abs(v) for k, v in c.entries.items()})
+
+    def close(value, vs, t):
+        # Relative to the same contraction of |c| with |vs| and |t|, the
+        # scale of the rounding error of any summation order.
+        scale = sparse_contract(abs_c, [np.abs(v) for v in vs], np.abs(t))
+        return abs(value - sparse_contract(c, vs, t)) <= 1e-12 * scale
+
+    rng = np.random.default_rng(c.N * 10 + c.n)
+    eye = np.eye(c.N)
+    for _ in range(3):
+        t = rng.normal(size=c.N) + 1.0
+        assert close(volume(c, t), [], t)
+        for k in range(c.n + 1):
+            vs = [rng.normal(size=c.N) for _ in range(k)]
+            assert close(contract(c, vs, t), vs, t)
+        jet = vol_derivatives(c, t, 4)
+        for order in range(1, 4):
+            lower = vol_derivatives(c, t, order)
+            assert len(lower) == order
+            assert all(np.array_equal(a, b) for a, b in zip(lower, jet))
+        for k, vk in enumerate(jet, start=1):
+            assert vk.shape == (c.N,) * k
+            if k > c.n:
+                assert np.all(vk == 0.0)
+                continue
+            for perm in itertools.permutations(range(k)):
+                assert np.array_equal(vk, vk.transpose(perm))
+            for idx in itertools.combinations_with_replacement(range(c.N), k):
+                assert close(vk[idx], [eye[i] for i in idx], t), (k, idx)
 
 
 class TestConstruction:
@@ -28,6 +92,30 @@ class TestConstruction:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             IntersectionTensor(n=1, N=1, entries={(0,): float("nan")})
+
+    def test_equal_entries_give_equal_tensors(self):
+        a = IntersectionTensor(n=3, N=3, entries={(0, 1, 2): 2.5, (0, 0, 0): -1.0})
+        b = IntersectionTensor(n=3, N=3, entries={(0, 0, 0): -1.0, (0, 1, 2): 2.5})
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != IntersectionTensor(n=3, N=3, entries={(0, 1, 2): 2.5})
+
+    def test_dense_array_is_symmetric_and_read_only(self):
+        c = IntersectionTensor(n=3, N=3, entries={(0, 1, 2): 2.5, (0, 0, 1): 0.5})
+        assert c.dense[2, 0, 1] == 2.5
+        assert c.dense[1, 0, 0] == 0.5
+        assert c.dense[1, 1, 0] == 0.0
+        with pytest.raises(ValueError):
+            c.dense[0, 0, 0] = 1.0
+
+    def test_refuses_oversized_dense_array(self):
+        with pytest.raises(ValueError, match="12,960,000"):
+            IntersectionTensor(4, 60, {(0, 0, 0, 0): 1.0})
+
+    def test_accepts_largest_benchmark_sizes(self):
+        for n, N in ((3, 20), (4, 8)):
+            c = dense_random_tensor(n, N, seed=n * N)
+            assert c.dense.shape == (N,) * n
 
     def test_value_lookup_symmetric(self):
         c = IntersectionTensor(n=3, N=3, entries={(0, 1, 2): 2.5})
