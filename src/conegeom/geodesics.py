@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import VolumeNotPositive
 from .metric import _hessian_metric, _metric_jet, metric_at
-from .tensors import IntersectionTensor, _check_dim, _coords, _jet, as_point, as_vector, volume
+from .tensors import IntersectionTensor, _check_dim, _coords, _jet, as_point, as_vector
 
 __all__ = [
     "GeodesicPath",
@@ -36,8 +36,7 @@ __all__ = [
 STEP_FLOOR = 1e-14
 VOLUME_EXIT_FACTOR = 1e-12
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau; the last row of _DP_A is the 5th-order solution.
 _DP_A = [
     [],
     [1 / 5],
@@ -47,7 +46,6 @@ _DP_A = [
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
@@ -57,8 +55,11 @@ _DP_B4 = np.array(
 class GeodesicPath:
     """Discretized geodesic: arc parameter, points, velocities and speeds.
 
-    ``status`` is one of ``"completed"``, ``"exited_volume_cone"`` or
-    ``"step_underflow"``.
+    ``status`` is ``"completed"`` when the arc length was covered.  Otherwise
+    the step shrank below ``STEP_FLOOR``: ``"exited_volume_cone"`` if the last
+    rejection was a stage point with ``Vol <= VOLUME_EXIT_FACTOR * Vol(t0)``
+    or a singular metric, ``"step_underflow"`` if it was the error estimate
+    or the speed drift (as on the metric-degeneracy locus).
     """
 
     s: np.ndarray
@@ -120,7 +121,7 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     exit_level = VOLUME_EXIT_FACTOR * vol0
 
     def rhs(state):
-        # Lean geodesic right-hand side: one volume jet, one solve.
+        # Geodesic right-hand side and the metric: one volume jet, one solve.
         vel = state[N:]
         vol, v1, v2, v3 = _jet(c, state[:N], 3)
         if vol <= exit_level:
@@ -138,7 +139,7 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
             acc = -np.linalg.solve(g, 0.5 * f3vv)
         except np.linalg.LinAlgError:
             raise _BoundaryHit from None
-        return np.concatenate([vel, acc])
+        return np.concatenate([vel, acc]), g
 
     # Local budgets: embedded error and per-step speed drift proportional to
     # the step fraction of the run.
@@ -148,6 +149,7 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     h = min(arclength, 1e-2)
     samples = [(0.0, y.copy(), 1.0)]
     status = "completed"
+    # First same as last: stage 7 is evaluated at y5, the next step's stage 1.
     k = [None] * 7
     boundary_reject = False
     while s_val < arclength:
@@ -156,23 +158,18 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
             status = "exited_volume_cone" if boundary_reject else "step_underflow"
             break
         try:
-            k[0] = rhs(y)
+            if k[0] is None:
+                k[0] = rhs(y)[0]
             for i in range(1, 7):
                 yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-                k[i] = rhs(yi)
+                k[i], g = rhs(yi)
         except _BoundaryHit:
             boundary_reject = True
             h *= 0.5
             continue
-        y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
+        y5 = yi
         y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k))
         err = float(np.max(np.abs(y5 - y4))) / max(1.0, float(np.max(np.abs(y5))))
-        try:
-            g, (vol, _, _) = _metric_jet(c, y5[:N])
-        except VolumeNotPositive:
-            boundary_reject = True
-            h *= 0.5
-            continue
         sp = float(y5[N:] @ g @ y5[N:])
         drift = abs(sp - 1.0)
         if err > err_tol_per_unit * h or drift > max(tol, err_tol_per_unit * h * 10):
@@ -181,10 +178,8 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
             continue
         s_val += h
         y = y5
+        k[0] = k[6]
         samples.append((s_val, y.copy(), sp))
-        if vol <= exit_level:
-            status = "exited_volume_cone"
-            break
         boundary_reject = False
         # Standard 5th-order step growth, capped.
         if err > 0:
@@ -250,8 +245,8 @@ def length_bound_check(c: IntersectionTensor, points, slack: float = 1e-9) -> Le
     """Check ``L >= |log Vol(end) - log Vol(start)| / sqrt(n)`` for a path."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     length = path_length(c, pts)
-    va = volume(c, pts[0])
-    vb = volume(c, pts[-1])
+    va = _jet(c, pts[0], 0)[0]
+    vb = _jet(c, pts[-1], 0)[0]
     bound = abs(math.log(vb) - math.log(va)) / math.sqrt(c.n)
     return LengthBoundReport(
         length=length,

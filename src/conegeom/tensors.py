@@ -3,7 +3,10 @@
 An :class:`IntersectionTensor` is a fully symmetric degree-``n`` multilinear
 form on ``R^N``, given by its entries on sorted multi-indices and expanded
 once, at construction, into a read-only dense array of all ``N^n``
-components.  It induces the homogeneous volume polynomial
+components: entries at their sorted indices, then an insertion-sort network
+of adjacent-axis compare-exchanges run backwards over the array, in
+``O(n^2 N^n)``, gives each index the value of its sorted form.  It induces
+the homogeneous volume polynomial
 ``Vol(t) = c(t, ..., t) / n!`` whose positivity region carries the Hessian
 metric built in :mod:`conegeom.metric`.  Every evaluation here contracts that
 array with vectors: the tensor against tangent vectors and base points, and
@@ -12,7 +15,6 @@ the exact partial-derivative arrays of ``Vol`` up to order four.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -93,13 +95,13 @@ class IntersectionTensor:
         if not clean:
             raise ValueError("tensor must have at least one nonzero entry")
         object.__setattr__(self, "entries", clean)
-        # Every permutation of the axes sends each sorted index to one of its
-        # orderings; repeated indices just write the same value twice.
-        index = np.array(list(clean), dtype=np.intp).T
-        values = np.array(list(clean.values()))
+        # Each exchange, in reverse order, swaps two axes where out of order.
         dense = np.zeros((self.N,) * self.n)
-        for perm in itertools.permutations(range(self.n)):
-            dense[tuple(index[list(perm)])] = values
+        dense[tuple(np.array(list(clean), dtype=np.intp).T)] = list(clean.values())
+        grid = np.indices(dense.shape, sparse=True)
+        network = [(j - 1, j) for i in range(1, self.n) for j in range(i, 0, -1)]
+        for p, q in reversed(network):
+            dense = np.where(grid[p] > grid[q], dense.swapaxes(p, q), dense)
         dense.setflags(write=False)
         object.__setattr__(self, "dense", dense)
 

@@ -55,6 +55,25 @@ class TestGeodesicShoot:
         with pytest.raises(ValueError):
             geodesic_shoot(CUBIC, [1.0], [1.0], -1.0)
 
+    def test_first_same_as_last_stage_reuse(self, monkeypatch):
+        # Stage 7 of an accepted step is the next step's stage 1, and its
+        # metric serves the speed check: six jets per step, plus the first.
+        import conegeom.geodesics as geodesics
+
+        calls = {"_jet": 0, "_metric_jet": 0}
+        for name in calls:
+
+            def counted(*args, name=name, original=getattr(geodesics, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(geodesics, name, counted)
+        tf = load_fixture("blowup_p2")
+        (t0,) = tf.metadata["kahler_points"]
+        path = geodesic_shoot(tf.tensor, t0, (1, 0.3), 1.0)
+        assert path.status == "completed"
+        assert calls == {"_jet": 6 * (len(path.s) - 1) + 1, "_metric_jet": 0}
+
 
 class TestPathLength:
     def test_constant_path(self):

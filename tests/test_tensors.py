@@ -117,6 +117,13 @@ class TestConstruction:
             c = dense_random_tensor(n, N, seed=n * N)
             assert c.dense.shape == (N,) * n
 
+    def test_high_degree_build_matches_value_lookup(self):
+        # The sorting-network build is O(n^2 N^n); one pass per permutation
+        # of the 12 axes would take minutes here.
+        c = IntersectionTensor(n=12, N=2, entries={(0,) * 12: 1.5, (0,) * 5 + (1,) * 7: -2.0, (1,) * 12: 0.25})
+        for idx in itertools.product(range(2), repeat=12):
+            assert c.dense[idx] == c.value(idx)
+
     def test_value_lookup_symmetric(self):
         c = IntersectionTensor(n=3, N=3, entries={(0, 1, 2): 2.5})
         assert c.value((2, 0, 1)) == 2.5
