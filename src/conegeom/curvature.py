@@ -44,7 +44,8 @@ class CurvatureAtPoint:
     the last two), ``gamma_second`` holds ``Gamma^l_{jk}`` indexed
     ``[l, j, k]``, and ``riemann`` is the covariant array described in the
     module docstring (``None`` when only the Christoffel part was requested).
-    ``cond`` is the condition number of the metric at ``base``.
+    ``cond`` is the 2-norm condition number ``max |lambda| / min |lambda|``
+    of the metric at ``base``.
     """
 
     gamma_first: np.ndarray
@@ -76,11 +77,16 @@ def _potential_third(vol, v1, v2, v3):
 
 
 def _metric_inverse(g: np.ndarray):
-    cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularMetric(f"metric condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    g_inv = np.linalg.solve(g, np.eye(g.shape[0]))
-    return g_inv, cond
+    """``(g^-1, cond)`` from one ``eigh``: ``g^-1 = V diag(1/lambda) V^T`` and
+    ``cond = max |lambda| / min |lambda|``, which must not exceed ``CONDITION_LIMIT``."""
+    if not np.all(np.isfinite(g)):
+        raise SingularMetric("metric has non-finite entries")
+    lam, vecs = np.linalg.eigh(g)
+    mags = np.abs(lam)
+    cond = float(np.max(mags) / np.min(mags)) if np.min(mags) > 0 else np.inf
+    if cond > CONDITION_LIMIT:
+        raise SingularMetric(f"metric condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
+    return (vecs / lam) @ vecs.T, cond
 
 
 def christoffel_at(c: IntersectionTensor, point) -> CurvatureAtPoint:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VolumeNotPositive
+from .errors import NotPositiveDefinite, VolumeNotPositive
 from .metric import _hessian_metric, _metric_jet, metric_at
 from .tensors import IntersectionTensor, _check_dim, _coords, _jet, as_point, as_vector
 
@@ -196,15 +196,20 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
+def _speed(g, w, x):
+    # sqrt(g(w, w)) at the point x of a path or ray with velocity w.
+    q = float(w @ g @ w)
+    if q < 0:
+        raise NotPositiveDefinite(f"metric is indefinite at path point {x.tolist()}: g(w, w) = {q!r}")
+    return math.sqrt(q)
+
+
 def _segment_length(c, a, b):
     delta = b - a
     total = 0.0
     for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
         x = a + 0.5 * (node + 1.0) * delta
-        q = float(delta @ _metric_jet(c, x)[0] @ delta)
-        if q < 0:
-            raise ValueError("path crosses a region where the metric is indefinite")
-        total += weight * math.sqrt(q)
+        total += weight * _speed(_metric_jet(c, x)[0], delta, x)
     return 0.5 * total
 
 
@@ -213,7 +218,8 @@ def path_length(c: IntersectionTensor, points) -> float:
 
     Each segment is integrated with 8-point Gauss-Legendre quadrature of
     ``sqrt(g(delta, delta))``.  Every supplied point must have positive
-    volume; quadrature nodes falling outside the volume cone raise as well.
+    volume; quadrature nodes outside the volume cone raise as well, and a node
+    where ``g(delta, delta) < 0`` raises :class:`NotPositiveDefinite`.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1 or pts.shape[1] != c.N:
@@ -289,10 +295,11 @@ def _ray_length(c, alpha, omega, t_lo, t_hi, panels_per_octave=4):
         mid = 0.5 * (hi + lo)
         for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
             tau = mid + half * node
-            vol, v1, v2 = _jet(c, alpha + tau * omega, 2)
+            x = alpha + tau * omega
+            vol, v1, v2 = _jet(c, x, 2)
             if vol <= 0:
                 raise VolumeNotPositive(f"ray point at parameter {tau!r} has nonpositive volume")
-            total += weight * half * math.sqrt(float(omega @ _hessian_metric(vol, v1, v2) @ omega))
+            total += weight * half * _speed(_hessian_metric(vol, v1, v2), omega, x)
     return total
 
 
@@ -310,7 +317,8 @@ def boundary_ray_study(
     ``k = 1..20``.  The report flags ``converged`` when successive lengths
     differ by less than ``1e-4`` of the last value, and ``diverging`` when the
     lengths track a log-volume bound that has grown past ten times the first
-    segment's length.
+    segment's length.  A ray point where ``Vol <= 0`` or ``g(omega, omega) < 0``
+    raises :class:`VolumeNotPositive` or :class:`NotPositiveDefinite`.
     """
     a = _coords(c, alpha)
     w = as_vector(omega).u

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, VolumeNotPositive, WrongSignature
-from .metric import _metric_jet, is_positive_definite
+from .metric import _metric_jet, is_positive_definite, signature_counts
 from .tensors import IntersectionTensor, _coords, _jet
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
     "IsometryReport",
     "ConeExtensionReport",
 ]
-
-SIGNATURE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,16 +73,6 @@ def gram_matrix(c: IntersectionTensor) -> np.ndarray:
     return np.array(c.dense)
 
 
-def signature_counts(m: np.ndarray, rtol: float = SIGNATURE_RTOL):
-    """Eigenvalue sign counts (positive, negative, null) with a scale-aware
-    threshold."""
-    eig = np.linalg.eigvalsh(np.asarray(m, dtype=float))
-    thresh = rtol * max(np.max(np.abs(eig)), 1e-300)
-    pos = int(np.sum(eig > thresh))
-    neg = int(np.sum(eig < -thresh))
-    return pos, neg, m.shape[0] - pos - neg
-
-
 def reduce_to_standard(c: IntersectionTensor, omega0) -> LorentzModel:
     """Build the adapted basis sending the volume form to the standard one.
 
@@ -111,10 +99,12 @@ def reduce_to_standard(c: IntersectionTensor, omega0) -> LorentzModel:
         proj = np.eye(c.N) - 0.5 * np.outer(b0, m @ b0)
         u_svd, s_svd, _ = np.linalg.svd(proj)
         comp = u_svd[:, : c.N - 1]
-        neg_form = -(comp.T @ m @ comp)
-        if not is_positive_definite(neg_form):
-            raise WrongSignature("the form is not negative-definite on the orthogonal complement")
-        r = np.linalg.cholesky(neg_form).T
+        # Signature (1, N-1) and Vol(b0) > 0 make the form negative-definite on
+        # the M-orthogonal complement of b0 (interlacing); only rounding fails.
+        try:
+            r = np.linalg.cholesky(-(comp.T @ m @ comp)).T
+        except np.linalg.LinAlgError as exc:
+            raise WrongSignature("the form is not negative-definite on the orthogonal complement") from exc
         perp = np.sqrt(2.0) * comp @ np.linalg.solve(r, np.eye(c.N - 1))
         basis = np.column_stack([b0, perp])
     eta = np.array([1.0] + [-1.0] * (c.N - 1))
@@ -238,17 +228,10 @@ def full_cone_check(
     """
     rng = np.random.default_rng(seed)
     c = model.tensor
-    failures = []
-    n_pd = 0
-    pts = _sample_reduced_points(model, samples, rng, radius=radius)
-    for point in pts:
-        t = model.to_original(point)
-        if is_positive_definite(_metric_jet(c, t)[0]):
-            n_pd += 1
-        else:
-            failures.append(t.tolist())
+    pts = [model.to_original(s) for s in _sample_reduced_points(model, samples, rng, radius=radius)]
+    failures = [t.tolist() for t in pts if not is_positive_definite(_metric_jet(c, t)[0])]
     return ConeExtensionReport(
-        fraction_positive_definite=n_pd / len(pts),
+        fraction_positive_definite=(len(pts) - len(failures)) / len(pts),
         failures=failures,
         n_samples=len(pts),
     )

@@ -250,8 +250,8 @@ def torus_consistency(samples: int = 100, seed: int = 0, tol: float = 1e-10) -> 
     """Compare the cone metric of the 2x2 determinant form with the trace
     metric under the real parametrization, over random positive-definite
     base points and Hermitian tangent pairs."""
-    from .lorentz import signature_counts, gram_matrix
-    from .metric import _metric_jet
+    from .lorentz import gram_matrix
+    from .metric import _metric_jet, signature_counts
 
     rng = np.random.default_rng(seed)
     tensor = det_form_tensor()

@@ -42,10 +42,11 @@ __all__ = [
     "pullback_check",
     "PullbackReport",
     "is_positive_definite",
+    "signature_counts",
 ]
 
 PRIMITIVITY_RTOL = 1e-8
-PD_PIVOT_RTOL = 1e-10
+SIGNATURE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -86,24 +87,26 @@ class MetricAtPoint:
         return float(u @ self.g @ v)
 
 
-def is_positive_definite(g: np.ndarray, pivot_rtol: float = PD_PIVOT_RTOL) -> bool:
-    """Cholesky-style factorization with a scale-aware pivot floor.
+def signature_counts(m) -> tuple[int, int, int]:
+    """Eigenvalue sign counts ``(positive, negative, null)`` of a symmetric matrix
+    from one ``eigvalsh``: the package's one definiteness test.
 
-    Pivots are compared against ``pivot_rtol * trace(g) / N`` so the test is
-    invariant under overall rescaling of the matrix.
+    ``|lambda| <= SIGNATURE_RTOL * max |lambda|`` counts as null, so rescaling
+    changes nothing; a matrix with a non-finite entry is null in every direction.
     """
-    a = np.array(g, dtype=float)
-    n = a.shape[0]
-    floor = pivot_rtol * np.trace(a) / n
-    if not np.isfinite(floor):
-        return False
-    for k in range(n):
-        piv = a[k, k]
-        if piv <= floor or not np.isfinite(piv):
-            return False
-        row = a[k, k + 1:] / piv
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], row)
-    return True
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        return 0, 0, m.shape[0]
+    eig = np.linalg.eigvalsh(m)
+    thresh = SIGNATURE_RTOL * max(np.max(np.abs(eig)), 1e-300)
+    pos = int(np.sum(eig > thresh))
+    neg = int(np.sum(eig < -thresh))
+    return pos, neg, m.shape[0] - pos - neg
+
+
+def is_positive_definite(g) -> bool:
+    """Whether all ``N`` eigenvalues of ``g`` count as positive in :func:`signature_counts`."""
+    return signature_counts(g)[0] == np.shape(g)[0]
 
 
 def _hessian_metric(vol: float, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -141,7 +144,7 @@ def metric_at(c: IntersectionTensor, point) -> MetricAtPoint:
         If ``Vol(t) <= 0``.
     NotPositiveDefinite
         If the point is claimed to lie in the positivity cone but the metric
-        fails the factorization test (the claim is then untenable).
+        is not positive-definite (the claim is then untenable).
     """
     return _metric_at(c, as_point(point))[0]
 

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePlane, NoValidPoints
+from .errors import DegeneratePlane, NoValidPoints, NotPositiveDefinite, SingularMetric, VolumeNotPositive
 from .curvature import _sectional, riemann_at
-from .metric import _hessian_metric, is_positive_definite
-from .tensors import IntersectionTensor, _check_dim, _coords, _jet, as_point
+from .metric import _hessian_metric, is_positive_definite, signature_counts
+from .tensors import IntersectionTensor, _coords, _jet
 
 __all__ = [
     "ScanReport",
@@ -268,19 +268,18 @@ def scan_sectional(
     optimize : refine the largest sample by plane-space ascent.
     seed : drives all plane randomness, per-sample substreams.
     """
-    valid = []
+    curvs = []
     for p in points:
-        pt = as_point(p)
-        _check_dim(c, pt.t, "base point")
-        jet = _jet(c, pt.t, 2)
-        if jet[0] <= 0 or not is_positive_definite(_hessian_metric(*jet)):
+        try:
+            curv = riemann_at(c, p)
+        except (VolumeNotPositive, NotPositiveDefinite, SingularMetric):
             continue
-        valid.append(pt)
-    if not valid:
+        if is_positive_definite(curv.metric.g):
+            curvs.append(curv)
+    if not curvs:
         raise NoValidPoints("no sampled point has positive volume and positive-definite metric")
     if c.N < 2:
         raise NoValidPoints("no tangent 2-planes exist in a one-dimensional cone")
-    curvs = [riemann_at(c, pt) for pt in valid]
     results = []
     for pi, curv in enumerate(curvs):
         for j in range(planes_per_point):
@@ -328,19 +327,12 @@ def signature_profile(c: IntersectionTensor, points, seed: int = 0) -> ScanRepor
     samples; makes no assertion about what the signatures should be away
     from the positivity cone.
     """
-    from .lorentz import signature_counts
-
     entries = []
-    n_pd = 0
     for p in points:
         t = _coords(c, p)
         jet = _jet(c, t, 2)
-        if jet[0] <= 0:
-            continue
-        pos, neg, null = signature_counts(_hessian_metric(*jet))
-        entries.append((t, pos, neg, null))
-        if pos == c.N:
-            n_pd += 1
+        if jet[0] > 0:
+            entries.append((t, *signature_counts(_hessian_metric(*jet))))
     if not entries:
         raise NoValidPoints("no sampled point has positive volume")
     return ScanReport(
@@ -348,5 +340,5 @@ def signature_profile(c: IntersectionTensor, points, seed: int = 0) -> ScanRepor
         seed=seed,
         points=[e[0] for e in entries],
         signature_entries=entries,
-        fraction_positive_definite=n_pd / len(entries),
+        fraction_positive_definite=sum(e[1] == c.N for e in entries) / len(entries),
     )

@@ -5,6 +5,7 @@ import pytest
 
 from conegeom import load_fixture
 from conegeom.curvature import (
+    _metric_inverse,
     christoffel_at,
     fd_curvature_oracle,
     riemann_at,
@@ -151,6 +152,8 @@ class TestChristoffel:
         degenerate = IntersectionTensor(n=2, N=2, entries={(0, 0): 2.0, (0, 1): 1e-9})
         with pytest.raises(SingularMetric):
             christoffel_at(degenerate, [1.0, 0.0])
+        with pytest.raises(SingularMetric):
+            _metric_inverse(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestRiemann:
@@ -193,7 +196,10 @@ class TestRiemann:
                 t = random_interior_point(c, np.asarray(anchor, float), rng, spread=0.15)
                 ref = coordinate_riemann(c, t)
                 scale = max(float(np.max(np.abs(ref))), 1e-12)
-                assert float(np.max(np.abs(riemann_at(c, t).riemann - ref))) / scale < 1e-10
+                curv = riemann_at(c, t)
+                assert float(np.max(np.abs(curv.riemann - ref))) / scale < 1e-10
+                # The eigenvalue ratio is the 2-norm condition number.
+                assert curv.cond == pytest.approx(np.linalg.cond(curv.metric.g), rel=1e-12)
 
     def test_indefinite_metric_matches_coordinate_formula(self):
         # Vol > 0 but g indefinite: the identity needs only an invertible g.

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from conegeom.errors import TensorFormatError
+from conegeom.errors import NotPositiveDefinite, TensorFormatError
+from conegeom.geodesics import boundary_ray_study, path_length
 from conegeom.io import (
     TensorFile,
     dumps_tensor_file,
@@ -186,6 +187,22 @@ class TestCli:
         doc = json.loads(out)
         assert doc["pass"] is True
         assert doc["length"] >= doc["bound"] - 1e-9
+
+    def test_indefinite_ray_and_path_are_domain_errors(self):
+        # Vol > 0 along the whole segment, but g(omega, omega) < 0 on it.
+        alpha, omega = np.array([1.792, 0.182, -1.506]), np.array([0.03, 0.0128, 0.0378])
+        c = load_fixture("synthetic_n3_b").tensor
+        with pytest.raises(NotPositiveDefinite):
+            boundary_ray_study(c, alpha, omega, [0.5, 0.25])
+        with pytest.raises(NotPositiveDefinite):
+            path_length(c, [alpha, alpha + omega])
+        for args in (
+            ("boundary-ray", "--point", "1.792,0.182,-1.506", "--vector", "0.03,0.0128,0.0378", "--samples", "2"),
+            ("length-check", "--point", "1.792,0.182,-1.506", "--point", "1.822,0.1948,-1.4682"),
+        ):
+            code, _, err = run_cli(args[0], "synthetic_n3_b", *args[1:])
+            assert code == 1
+            assert err.startswith("NotPositiveDefinite:")
 
     def test_scan_deterministic_output(self, tmp_path):
         args = (

@@ -70,6 +70,8 @@ class TestReduction:
         assert signature_counts(gram_matrix(TORUS)) == (1, 3, 0)
         assert signature_counts(np.diag([1.0, 1.0])) == (2, 0, 0)
         assert signature_counts(np.diag([1.0, 0.0])) == (1, 0, 1)
+        assert signature_counts([[1.0, 0.0], [0.0, -1.0]]) == (1, 1, 0)
+        assert signature_counts(np.array([[np.nan, 0.0], [0.0, 1.0]])) == (0, 0, 2)
 
 
 class TestIsometries:

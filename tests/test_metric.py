@@ -15,6 +15,7 @@ from conegeom.metric import (
     metric_at,
     primitive_decompose,
     pullback_check,
+    signature_counts,
 )
 from conegeom.tensors import ConePoint, IntersectionTensor, volume, vol_derivatives
 
@@ -194,10 +195,18 @@ class TestPositiveDefiniteCheck:
     def test_rejects_indefinite_and_semidefinite(self):
         assert not is_positive_definite(np.diag([1.0, -1.0]))
         assert not is_positive_definite(np.diag([1.0, 0.0]))
+        assert not is_positive_definite(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_scale_invariance(self):
         m = np.array([[1.0, 0.999999], [0.999999, 1.0]])
         assert is_positive_definite(m) == is_positive_definite(1e12 * m)
+
+    def test_one_verdict_with_signature_counts(self):
+        # Definiteness is read off the eigenvalue counts, with one threshold.
+        near = np.array([[1.0, 0.999999], [0.999999, 1.0]])
+        for m in (np.diag([1.0, 1.0, 8e-11]), near, 1e12 * near):
+            assert is_positive_definite(m) == (signature_counts(m)[0] == m.shape[0])
+        assert signature_counts(np.diag([1.0, 1.0, 8e-11])) == (2, 0, 1)
 
 
 class TestPullbackCheck:

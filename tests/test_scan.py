@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conegeom.curvature import sectional
-from conegeom.errors import NoValidPoints
+from conegeom import load_fixture
+from conegeom.errors import DimensionMismatch, NoValidPoints
 from conegeom.scan import (
     sample_cone_points,
     scan_sectional,
@@ -52,6 +53,15 @@ class TestScanSectional:
     def test_no_planes_in_one_dimension(self):
         with pytest.raises(NoValidPoints):
             scan_sectional(CUBIC, points_for(CUBIC, [1.0]))
+
+    def test_drops_points_outside_the_cone(self):
+        # Vol < 0 at -(1, 1, 1); Vol > 0 but g indefinite at the second point.
+        c = load_fixture("synthetic_n3_b").tensor
+        good = [1.0, 1.0, 1.0]
+        report = scan_sectional(c, [good, [1.792, 0.182, -1.506], [-1.0, -1.0, -1.0]], planes_per_point=2)
+        assert [p.tolist() for p in report.points] == [good]
+        with pytest.raises(DimensionMismatch):
+            scan_sectional(c, [good, [1.0, 1.0]])
 
     def test_deterministic_given_seed(self):
         pts = points_for(CURVED3, [1.0, 1.0, 1.0], count=10)
