@@ -39,6 +39,16 @@ def _parse_coords(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def _load(args):
     return io.read_tensor_file(io.resolve_tensor_path(args.tensor))
 
@@ -274,24 +284,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("boundary-ray", cmd_boundary_ray, help="lengths along a ray toward the boundary")
     p.add_argument("--point", type=_parse_coords, required=True, help="boundary class alpha")
     p.add_argument("--vector", type=_parse_coords, action="append", help="interior direction")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_positive_int, default=20)
 
     p = add("lorentz-verify", cmd_lorentz_verify, help="surface model reduction and checks")
     p.add_argument("--point", type=_parse_coords, required=True, help="reference volume-positive class")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
 
     p = add("maass-verify", cmd_maass_verify, tensor_arg=False, help="matrix-model identity battery")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
 
     p = add("scan", cmd_scan, help="sectional-curvature scan near an anchor")
     p.add_argument("--point", type=_parse_coords, required=True, help="anchor point")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--planes-per-point", type=int, default=32)
+    p.add_argument("--samples", type=_positive_int, default=50)
+    p.add_argument("--planes-per-point", type=_positive_int, default=32)
     p.add_argument("--optimize", action="store_true")
 
     p = add("signature", cmd_signature, help="metric signature profile over the volume cone")
     p.add_argument("--point", type=_parse_coords, required=True, help="anchor point")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
 
     return parser
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegeneratePlane, SingularMetric
 from .metric import MetricAtPoint, _metric_at, _metric_jet
-from .tensors import IntersectionTensor, as_point, as_vector
+from .tensors import IntersectionTensor, _tangent, as_point
 
 __all__ = [
     "CurvatureAtPoint",
@@ -135,7 +135,8 @@ def sectional_from_curvature(curv: CurvatureAtPoint, u, v) -> float:
     """Sectional curvature of span{u, v} from precomputed curvature data."""
     if curv.riemann is None:
         raise ValueError("curvature data lacks the Riemann tensor")
-    return _sectional(curv, as_vector(u).u, as_vector(v).u)
+    N = curv.base.shape[0]
+    return _sectional(curv, _tangent(N, u), _tangent(N, v))
 
 
 def _sectional(curv: CurvatureAtPoint, uvec: np.ndarray, vvec: np.ndarray) -> float:

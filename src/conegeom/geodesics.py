@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NotPositiveDefinite, VolumeNotPositive
 from .metric import _hessian_metric, _metric_jet, metric_at
-from .tensors import IntersectionTensor, _check_dim, _coords, _jet, as_point, as_vector
+from .tensors import IntersectionTensor, _coords, _jet, _tangent, as_point
 
 __all__ = [
     "GeodesicPath",
@@ -108,7 +108,7 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
         violating a proportional share of it are rejected.
     """
     pt = as_point(t0)
-    u = as_vector(u0).u
+    u = _tangent(c.N, u0)
     data = metric_at(c, pt)
     vol0 = data.vol
     speed2 = float(u @ data.g @ u)
@@ -321,8 +321,7 @@ def boundary_ray_study(
     raises :class:`VolumeNotPositive` or :class:`NotPositiveDefinite`.
     """
     a = _coords(c, alpha)
-    w = as_vector(omega).u
-    _check_dim(c, w, "ray direction")
+    w = _tangent(c.N, omega, "ray direction")
     if t_mins is None:
         t_mins = [2.0**-k for k in range(1, 21)]
     t_mins = sorted((float(x) for x in t_mins), reverse=True)

@@ -226,6 +226,8 @@ def full_cone_check(
     Points are drawn from ``{q > 0, s_0 > 0}`` up to ``radius`` of the light
     cone, including points far outside any given sub-cone of it.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     c = model.tensor
     pts = [model.to_original(s) for s in _sample_reduced_points(model, samples, rng, radius=radius)]

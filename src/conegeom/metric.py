@@ -30,8 +30,8 @@ from .tensors import (
     _check_dim,
     _coords,
     _jet,
+    _tangent,
     as_point,
-    as_vector,
 )
 
 __all__ = [
@@ -78,13 +78,12 @@ class MetricAtPoint:
             object.__setattr__(self, name, a)
 
     def norm_sq(self, u) -> float:
-        u = as_vector(u).u
+        u = _tangent(self.g.shape[0], u)
         return float(u @ self.g @ u)
 
     def inner(self, u, v) -> float:
-        u = as_vector(u).u
-        v = as_vector(v).u
-        return float(u @ self.g @ v)
+        N = self.g.shape[0]
+        return float(_tangent(N, u) @ self.g @ _tangent(N, v))
 
 
 def signature_counts(m) -> tuple[int, int, int]:
@@ -126,7 +125,7 @@ def _metric_jet(c: IntersectionTensor, t: np.ndarray, order: int = 2):
 
 def _metric_at(c: IntersectionTensor, pt: ConePoint, order: int = 2):
     """:func:`metric_at` for a validated point, with the jet it took."""
-    _check_dim(c, pt.t, "base point")
+    _check_dim(c.N, pt.t, "base point")
     g, jet = _metric_jet(c, pt.t, order)
     vol, v1 = jet[:2]
     data = MetricAtPoint(g=g, vol=vol, grad_logvol=-v1 / vol, point=pt.t)
@@ -156,8 +155,7 @@ def primitive_decompose(c: IntersectionTensor, point, u):
     the pair ``(u0, u1)``.
     """
     t = _coords(c, point)
-    uvec = as_vector(u).u
-    _check_dim(c, uvec, "tangent vector")
+    uvec = _tangent(c.N, u)
     vol, v1 = _jet(c, t, 1)
     if vol <= 0.0:
         raise VolumeNotPositive(f"volume {vol!r} is not positive")
@@ -182,8 +180,8 @@ def levelset_metric(c: IntersectionTensor, point, u, v) -> float:
     pairing exceeds the documented tolerance raises :class:`NotPrimitive`.
     """
     t = _coords(c, point)
-    uvec = as_vector(u).u
-    vvec = as_vector(v).u
+    uvec = _tangent(c.N, u)
+    vvec = _tangent(c.N, v)
     vol, v1, v2 = _jet(c, t, 2)
     if vol <= 0.0:
         raise VolumeNotPositive(f"volume {vol!r} is not positive")

@@ -1,11 +1,11 @@
 """Sampling-based exploration of sectional curvature and metric signature.
 
 The scanner draws tangent 2-planes at sampled base points, evaluates their
-sectional curvature, optionally refines the largest value by a derivative-free
-ascent over nearby planes, and can also profile the eigenvalue signs of the
-metric across the volume-positive region.  Everything is reported as
-evidence: no negativity statement is asserted for degree >= 3, where the
-question is open.
+sectional curvature, optionally refines the largest value by an ascent over
+nearby planes made of closed-form line searches, and can also profile the
+eigenvalue signs of the metric across the volume-positive region.  Everything
+is reported as evidence: no negativity statement is asserted for degree >= 3,
+where the question is open.
 
 Reproducibility: all randomness for a sample with index ``i`` comes from
 ``default_rng((seed, i))``, so each sample's draws depend only on the seed
@@ -173,30 +173,42 @@ def _orthonormal_pair(g: np.ndarray, rng, max_tries: int = 16):
     raise NoValidPoints("failed to draw a nondegenerate tangent plane")
 
 
-def _golden_max(f, lo, hi, iters=24):
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - phi * (b - a)
-    c2 = a + phi * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = f(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = f(c1)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _line_max(curv, fixed, x, e):
+    """Best ``(K, theta)`` over the planes ``span{cos(theta) x + sin(theta) e, fixed}``
+    with ``|theta| <= 0.6``, or ``None`` if every candidate plane is degenerate.
+
+    With ``z = (cos theta, sin theta)``, ``y = (x, e)`` and ``f = fixed``,
+    ``K = z^T num z / z^T gram z`` for the 2x2 matrices
+    ``num_ij = R(y_i, f, f, y_j)`` and
+    ``gram_ij = g(y_i, y_j) g(f, f) - g(y_i, f) g(y_j, f)``.  The quotient is
+    stationary where ``num z`` is parallel to ``gram z``, a quadratic in
+    ``tan theta``; its roots in the interval and both ends are the candidates.
+    """
+    g = curv.metric.g
+    y = np.stack([x, e])
+    num = y @ np.einsum("abkl,b,k->al", curv.riemann, fixed, fixed) @ y.T
+    gf = y @ g @ fixed
+    gram = (y @ g @ y.T) * float(fixed @ g @ fixed) - np.outer(gf, gf)
+    (n00, n01), (_, n11) = 0.5 * (num + num.T)
+    (g00, g01), (_, g11) = gram
+    roots = np.roots([n01 * g11 - n11 * g01, n00 * g11 - n11 * g00, n00 * g01 - n01 * g00])
+    thetas = np.arctan(roots.real)
+    found = []
+    for theta in [-0.6, 0.6, *thetas[np.abs(thetas) <= 0.6]]:
+        u = np.cos(theta) * x + np.sin(theta) * e
+        try:
+            found.append((_sectional(curv, u, fixed), theta))
+        except DegeneratePlane:
+            continue
+    return max(found, default=None)
 
 
 def _refine_plane(curv, u, v):
-    """Coordinate-wise golden-section ascent of K over nearby 2-planes.
+    """Coordinate-wise ascent of K over nearby 2-planes by exact line searches.
 
-    The pair is rotated toward each complement direction of a g-orthonormal
-    frame in turn and re-orthonormalized after every accepted move.
+    Each vector of the pair in turn is rotated toward each complement direction
+    of a g-orthonormal frame by the best angle :func:`_line_max` finds, and the
+    pair is re-orthonormalized after every accepted move.
     """
     g = curv.metric.g
     n = g.shape[0]
@@ -220,29 +232,13 @@ def _refine_plane(curv, u, v):
     frame = frame[: n]
     for _ in range(3):
         improved = False
+        # K(u, v) = K(v, u), so either vector of the pair is rotated the same way.
         for which in (0, 1):
-            for k in range(2, len(frame)):
-                e = frame[k]
-                base_u, base_v = frame[0], frame[1]
-
-                def k_of(theta, which=which, e=e, base_u=base_u, base_v=base_v):
-                    uu, vv = base_u, base_v
-                    if which == 0:
-                        uu = np.cos(theta) * base_u + np.sin(theta) * e
-                    else:
-                        vv = np.cos(theta) * base_v + np.sin(theta) * e
-                    try:
-                        return _sectional(curv, uu, vv)
-                    except DegeneratePlane:
-                        return -np.inf
-
-                theta, val = _golden_max(k_of, -0.6, 0.6)
-                if val > best + 1e-15:
-                    best = val
-                    if which == 0:
-                        frame[0] = np.cos(theta) * base_u + np.sin(theta) * e
-                    else:
-                        frame[1] = np.cos(theta) * base_v + np.sin(theta) * e
+            for e in frame[2:]:
+                found = _line_max(curv, frame[1 - which], frame[which], e)
+                if found is not None and found[0] > best + 1e-15:
+                    best, theta = found
+                    frame[which] = np.cos(theta) * frame[which] + np.sin(theta) * e
                     frame[0], frame[1] = gs_pair(frame[0], frame[1])
                     improved = True
         if not improved:
@@ -268,6 +264,8 @@ def scan_sectional(
     optimize : refine the largest sample by plane-space ascent.
     seed : drives all plane randomness, per-sample substreams.
     """
+    if planes_per_point < 1:
+        raise ValueError(f"planes_per_point must be at least 1, got {planes_per_point!r}")
     curvs = []
     for p in points:
         try:

@@ -157,16 +157,23 @@ def as_vector(v) -> TangentVector:
     return TangentVector(np.asarray(v, dtype=float))
 
 
-def _check_dim(c: IntersectionTensor, x: np.ndarray, what: str):
-    if x.shape != (c.N,):
-        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({c.N},)")
+def _check_dim(N: int, x: np.ndarray, what: str):
+    if x.shape != (N,):
+        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({N},)")
 
 
 def _coords(c: IntersectionTensor, point) -> np.ndarray:
     """Validated base-point coordinates, as the public functions take them."""
     t = as_point(point).t
-    _check_dim(c, t, "base point")
+    _check_dim(c.N, t, "base point")
     return t
+
+
+def _tangent(N: int, u, what: str = "tangent vector") -> np.ndarray:
+    """Validated coordinates of a tangent vector in ``R^N``, as the public functions take them."""
+    uvec = as_vector(u).u
+    _check_dim(N, uvec, what)
+    return uvec
 
 
 def _jet(c: IntersectionTensor, t: np.ndarray, order: int):
@@ -206,12 +213,10 @@ def contract(c: IntersectionTensor, vs, point) -> float:
     float
     """
     t = _coords(c, point)
-    vecs = [as_vector(v).u for v in vs]
+    vecs = [_tangent(c.N, v) for v in vs]
     k = len(vecs)
     if k > c.n:
         raise DimensionMismatch(f"cannot contract {k} vectors into a degree-{c.n} form")
-    for v in vecs:
-        _check_dim(c, v, "tangent vector")
     a = c.dense
     for x in [t] * (c.n - k) + vecs[::-1]:
         a = a @ x

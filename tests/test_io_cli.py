@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from conegeom.errors import NotPositiveDefinite, TensorFormatError
-from conegeom.geodesics import boundary_ray_study, path_length
+from conegeom.curvature import riemann_at, sectional, sectional_from_curvature
+from conegeom.errors import DimensionMismatch, NotPositiveDefinite, TensorFormatError
+from conegeom.geodesics import boundary_ray_study, geodesic_shoot, path_length
 from conegeom.io import (
     TensorFile,
     dumps_tensor_file,
@@ -18,6 +19,9 @@ from conegeom.io import (
     save_tensor_file,
     write_path_csv,
 )
+from conegeom.lorentz import full_cone_check, reduce_to_standard
+from conegeom.metric import levelset_metric, metric_at
+from conegeom.scan import sample_cone_points, scan_sectional
 from conegeom.tensors import IntersectionTensor
 
 from conftest import ALL_FIXTURES
@@ -203,6 +207,44 @@ class TestCli:
             code, _, err = run_cli(args[0], "synthetic_n3_b", *args[1:])
             assert code == 1
             assert err.startswith("NotPositiveDefinite:")
+
+    def test_wrong_length_vectors_are_domain_errors(self):
+        c = load_fixture("blowup_p2").tensor
+        point, long, ok = [2.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0]
+        for call in (
+            lambda: sectional(c, point, long, ok),
+            lambda: sectional_from_curvature(riemann_at(c, point), ok, long),
+            lambda: geodesic_shoot(c, point, long, 1.0),
+            lambda: levelset_metric(c, point, long, ok),
+            lambda: metric_at(c, point).inner(ok, long),
+            lambda: metric_at(c, point).norm_sq(long),
+        ):
+            with pytest.raises(DimensionMismatch):
+                call()
+        for args in (
+            ("sectional", "--vector", "1,0,0", "--vector", "0,1"),
+            ("geodesic", "--vector", "1,0,0", "--arclength", "1"),
+        ):
+            code, _, err = run_cli(args[0], "blowup_p2", "--point", "2,1", *args[1:])
+            assert code == 1
+            assert err.startswith("DimensionMismatch:")
+
+    def test_zero_counts_are_rejected(self):
+        c = load_fixture("blowup_p2").tensor
+        with pytest.raises(ValueError, match="planes_per_point"):
+            scan_sectional(c, sample_cone_points(c, [2.0, 1.0], 2), planes_per_point=0)
+        with pytest.raises(ValueError, match="samples"):
+            full_cone_check(reduce_to_standard(c, [2.0, 1.0]), samples=0)
+        for args in (
+            ("scan", "blowup_p2", "--point", "2,1", "--planes-per-point", "0"),
+            ("scan", "blowup_p2", "--point", "2,1", "--samples", "-1"),
+            ("lorentz-verify", "blowup_p2", "--point", "2,1", "--samples", "0"),
+            ("maass-verify", "--samples", "0"),
+        ):
+            code, out, err = run_cli(*args)
+            assert code == 2
+            assert out == ""
+            assert "expected an integer >= 1" in err
 
     def test_scan_deterministic_output(self, tmp_path):
         args = (

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from conegeom.curvature import sectional
+from conegeom.curvature import _sectional, riemann_at, sectional
 from conegeom import load_fixture
-from conegeom.errors import DimensionMismatch, NoValidPoints
+from conegeom.errors import DegeneratePlane, DimensionMismatch, NoValidPoints
 from conegeom.scan import (
+    _line_max,
     sample_cone_points,
     scan_sectional,
     signature_profile,
     tensor_id,
 )
 from conegeom.tensors import IntersectionTensor
+
+from test_curvature import DENSE6
 
 BLOWUP = IntersectionTensor(n=2, N=2, entries={(0, 0): 1.0, (1, 1): -1.0})
 RANK3 = IntersectionTensor(n=2, N=3, entries={(0, 1): 1.0, (2, 2): -2.0})
@@ -84,8 +87,28 @@ class TestScanSectional:
         point, u, v = opt.k_max_plane
         assert sectional(CURVED3, point, u, v) == pytest.approx(opt.k_max, abs=1e-12)
 
+    def test_line_search_is_the_maximum_on_its_interval(self):
+        # The closed form beats a dense grid of direct evaluations on [-0.6, 0.6].
+        rng = np.random.default_rng(11)
+        thetas = np.linspace(-0.6, 0.6, 1201)
+        for tensor, anchor in ((CURVED3, [1.0, 1.0, 1.0]), (DENSE6, np.ones(6))):
+            for p in points_for(tensor, anchor, count=4, seed=5):
+                curv = riemann_at(tensor, p)
+                for _ in range(3):
+                    x, e, f = rng.normal(size=(3, tensor.N))
+                    grid = []
+                    for th in thetas:
+                        try:
+                            grid.append(_sectional(curv, np.cos(th) * x + np.sin(th) * e, f))
+                        except DegeneratePlane:
+                            continue
+                    k, theta = _line_max(curv, f, x, e)
+                    assert abs(theta) <= 0.6
+                    assert k == _sectional(curv, np.cos(theta) * x + np.sin(theta) * e, f)
+                    assert k >= max(grid) - 1e-12 * max(abs(v) for v in grid)
+
     def test_optimizer_propagates_unexpected_errors(self, monkeypatch):
-        # Only a degenerate plane may read as -inf during refinement.
+        # Only a degenerate plane may be skipped during refinement.
         import conegeom.scan as scan_module
 
         real = scan_module._sectional
