@@ -49,6 +49,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _load(args):
     return io.read_tensor_file(io.resolve_tensor_path(args.tensor))
 
@@ -254,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         if tensor_arg:
             p.add_argument("tensor", help="tensor JSON file (or packaged fixture name)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=_positive_float, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.set_defaults(func=func)
@@ -276,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("geodesic", cmd_geodesic, help="shoot a unit-speed geodesic")
     p.add_argument("--point", type=_parse_coords, required=True)
     p.add_argument("--vector", type=_parse_coords, action="append")
-    p.add_argument("--arclength", type=float, required=True)
+    p.add_argument("--arclength", type=_positive_float, required=True)
 
     p = add("length-check", cmd_length_check, help="path length against the log-volume bound")
     p.add_argument("--point", type=_parse_coords, action="append")

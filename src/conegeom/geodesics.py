@@ -4,8 +4,8 @@ The geodesic equation ``t''^l + Gamma^l_{jk} t'^j t'^k = 0`` is integrated
 with an embedded Dormand-Prince 5(4) scheme.  Steps are rejected both on the
 embedded error estimate and on drift of the conserved speed ``g(t', t')``,
 because the curvature blows up near the volume-cone boundary and fixed steps
-fail there.  Lengths of piecewise-linear paths use per-segment Gauss-Legendre
-quadrature, and every length is compared against the lower bound
+fail there.  Piecewise-linear paths and boundary rays share one Gauss-Legendre
+line integral, and every length is compared against the lower bound
 
     L >= |log Vol(end) - log Vol(start)| / sqrt(n),
 
@@ -35,6 +35,7 @@ __all__ = [
 
 STEP_FLOOR = 1e-14
 VOLUME_EXIT_FACTOR = 1e-12
+PANELS_PER_OCTAVE = 4
 
 # Dormand-Prince 5(4) tableau; the last row of _DP_A is the 5th-order solution.
 _DP_A = [
@@ -102,11 +103,14 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     c : IntersectionTensor
     t0 : starting point, ``Vol > 0``
     u0 : initial direction with positive metric norm
-    arclength : float, total arc length to cover
+    arclength : float, total arc length to cover, finite and positive
     tol : float
-        Bound on the speed drift ``|g(t', t') - 1|`` over the run; steps
-        violating a proportional share of it are rejected.
+        Bound on the speed drift ``|g(t', t') - 1|`` over the run, finite and
+        positive; steps violating a proportional share of it are rejected.
     """
+    for name, value in (("arclength", arclength), ("tol", tol)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     pt = as_point(t0)
     u = _tangent(c.N, u0)
     data = metric_at(c, pt)
@@ -114,8 +118,6 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     speed2 = float(u @ data.g @ u)
     if speed2 <= 0:
         raise ValueError("initial direction has nonpositive metric norm")
-    if arclength <= 0:
-        raise ValueError("arclength must be positive")
     y = np.concatenate([pt.t, u / math.sqrt(speed2)])
     N = c.N
     exit_level = VOLUME_EXIT_FACTOR * vol0
@@ -196,30 +198,30 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _speed(g, w, x):
-    # sqrt(g(w, w)) at the point x of a path or ray with velocity w.
-    q = float(w @ g @ w)
-    if q < 0:
-        raise NotPositiveDefinite(f"metric is indefinite at path point {x.tolist()}: g(w, w) = {q!r}")
-    return math.sqrt(q)
-
-
-def _segment_length(c, a, b):
-    delta = b - a
+def _line_length(c, a, w, edges):
+    # Length of a + tau * w over the panels between consecutive edges: 8-point
+    # Gauss-Legendre quadrature of sqrt(g(w, w)) on each panel.
     total = 0.0
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        x = a + 0.5 * (node + 1.0) * delta
-        total += weight * _speed(_metric_jet(c, x)[0], delta, x)
-    return 0.5 * total
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+            x = a + (mid + half * node) * w
+            q = float(w @ _metric_jet(c, x)[0] @ w)
+            if q < 0:
+                raise NotPositiveDefinite(f"metric is indefinite at path point {x.tolist()}: g(w, w) = {q!r}")
+            total += weight * half * math.sqrt(q)
+    return total
 
 
 def path_length(c: IntersectionTensor, points) -> float:
     """Length of a piecewise-linear path through the given points.
 
-    Each segment is integrated with 8-point Gauss-Legendre quadrature of
-    ``sqrt(g(delta, delta))``.  Every supplied point must have positive
-    volume; quadrature nodes outside the volume cone raise as well, and a node
-    where ``g(delta, delta) < 0`` raises :class:`NotPositiveDefinite`.
+    Each segment is one panel of the 8-point Gauss-Legendre rule for
+    ``sqrt(g(delta, delta))`` that ray studies use too.  Every supplied point
+    must have positive volume; quadrature nodes outside the volume cone raise
+    as well, and a node where ``g(delta, delta) < 0`` raises
+    :class:`NotPositiveDefinite`.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1 or pts.shape[1] != c.N:
@@ -233,7 +235,7 @@ def path_length(c: IntersectionTensor, points) -> float:
     for a, b in zip(pts[:-1], pts[1:]):
         if np.array_equal(a, b):
             continue
-        total += _segment_length(c, a, b)
+        total += _line_length(c, a, b - a, (0.0, 1.0))
     return float(total)
 
 
@@ -284,55 +286,42 @@ class RayStudy:
         return [r[2] for r in self.rows]
 
 
-def _ray_length(c, alpha, omega, t_lo, t_hi, panels_per_octave=4):
-    # Geometrically spaced panels resolve the 1/t-type blowup of the
-    # integrand near a volume-zero endpoint.
-    n_oct = max(1, math.ceil(math.log2(t_hi / t_lo)))
-    edges = np.geomspace(t_lo, t_hi, n_oct * panels_per_octave + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-            tau = mid + half * node
-            x = alpha + tau * omega
-            vol, v1, v2 = _jet(c, x, 2)
-            if vol <= 0:
-                raise VolumeNotPositive(f"ray point at parameter {tau!r} has nonpositive volume")
-            total += weight * half * _speed(_hessian_metric(vol, v1, v2), omega, x)
-    return total
-
-
-def boundary_ray_study(
-    c: IntersectionTensor,
-    alpha,
-    omega,
-    t_mins=None,
-    panels_per_octave: int = 4,
-) -> RayStudy:
+def boundary_ray_study(c: IntersectionTensor, alpha, omega, t_mins=None) -> RayStudy:
     """Measure lengths of the affine ray ``alpha + t * omega`` as ``t_min`` drops.
 
     ``alpha`` is a (typically boundary) class supplied by the caller, ``omega``
     an interior direction; the default ``t_min`` sequence is ``2**-k`` for
-    ``k = 1..20``.  The report flags ``converged`` when successive lengths
-    differ by less than ``1e-4`` of the last value, and ``diverging`` when the
-    lengths track a log-volume bound that has grown past ten times the first
-    segment's length.  A ray point where ``Vol <= 0`` or ``g(omega, omega) < 0``
-    raises :class:`VolumeNotPositive` or :class:`NotPositiveDefinite`.
+    ``k = 1..20``.  Rows are running sums: a row adds the length of its new
+    stretch ``[t_min, previous t_min]`` (``[t_min, 1]`` first), integrated on
+    ``PANELS_PER_OCTAVE`` geometric panels per octave of the stretch.  The
+    report flags ``converged`` when successive lengths differ by less than
+    ``1e-4`` of the last value, and ``diverging`` when the lengths track a
+    log-volume bound that has grown past ten times the first segment's length.
+    A ray point where ``Vol <= 0`` or ``g(omega, omega) < 0`` raises
+    :class:`VolumeNotPositive` or :class:`NotPositiveDefinite`.
     """
     a = _coords(c, alpha)
     w = _tangent(c.N, omega, "ray direction")
     if t_mins is None:
         t_mins = [2.0**-k for k in range(1, 21)]
     t_mins = sorted((float(x) for x in t_mins), reverse=True)
+    if not t_mins:
+        raise ValueError("boundary_ray_study requires at least one t_min value")
     rows = []
     vol_top = _jet(c, a + w, 0)[0]
     if vol_top <= 0:
         raise VolumeNotPositive("ray endpoint at t = 1 has nonpositive volume")
+    length, t_hi = 0.0, 1.0
     for t_min in t_mins:
         if not 0 < t_min < 1:
             raise ValueError(f"t_min values must lie in (0, 1), got {t_min!r}")
-        length = _ray_length(c, a, w, t_min, 1.0, panels_per_octave)
+        if t_min < t_hi:
+            # Geometrically spaced panels resolve the 1/t-type blowup of the
+            # integrand near a volume-zero endpoint.
+            n_oct = max(1, math.ceil(math.log2(t_hi / t_min)))
+            edges = np.geomspace(t_min, t_hi, n_oct * PANELS_PER_OCTAVE + 1)
+            length += _line_length(c, a, w, edges)
+            t_hi = t_min
         vol_lo = _jet(c, a + t_min * w, 0)[0]
         bound = abs(math.log(vol_top) - math.log(vol_lo)) / math.sqrt(c.n)
         rows.append((t_min, length, bound))

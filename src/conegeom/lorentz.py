@@ -190,6 +190,8 @@ def lorentz_isometry_check(
     Group elements are built in reduced coordinates and conjugated back by the
     adapted basis, so they preserve the volume form up to the dilation factor.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     c = model.tensor
     max_resid = 0.0

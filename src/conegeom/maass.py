@@ -253,6 +253,8 @@ def torus_consistency(samples: int = 100, seed: int = 0, tol: float = 1e-10) -> 
     from .lorentz import gram_matrix
     from .metric import _metric_jet, signature_counts
 
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     tensor = det_form_tensor()
     max_resid = 0.0

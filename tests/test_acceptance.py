@@ -332,13 +332,17 @@ def test_criterion_7_surface_nonpositivity_and_isometries(fixtures):
     assert elapsed < 60.0
 
 
-def test_criterion_8_completeness_dichotomy(fixtures):
+def test_criterion_8_completeness_dichotomy(fixtures, monkeypatch):
+    import conegeom.geodesics as geodesics
+
     start = time.monotonic()
     blowup = fixtures["blowup_p2"].tensor
 
     # (a) ray toward a volume-positive boundary class: finite limit.
     study = boundary_ray_study(blowup, [1.0, 0.0], [2.0, 1.0])
-    refined = boundary_ray_study(blowup, [1.0, 0.0], [2.0, 1.0], panels_per_octave=8)
+    with monkeypatch.context() as m:
+        m.setattr(geodesics, "PANELS_PER_OCTAVE", 8)
+        refined = boundary_ray_study(blowup, [1.0, 0.0], [2.0, 1.0])
     finite_ok = (
         study.flag == "converged"
         and abs(study.lengths[-1] - study.lengths[-2]) < 0.01 * study.lengths[-1]

@@ -19,6 +19,21 @@ CUBIC = IntersectionTensor(n=3, N=1, entries={(0, 0, 0): 6.0})
 BLOWUP = IntersectionTensor(n=2, N=2, entries={(0, 0): 1.0, (1, 1): -1.0})
 
 
+def count_metric_jets(monkeypatch):
+    """Record each metric evaluation of the line integral: one per node."""
+    import conegeom.geodesics as geodesics
+
+    calls = []
+    metric_jet = geodesics._metric_jet
+
+    def counted(*args):
+        calls.append(None)
+        return metric_jet(*args)
+
+    monkeypatch.setattr(geodesics, "_metric_jet", counted)
+    return calls
+
+
 class TestGeodesicShoot:
     def test_one_modulus_closed_form(self):
         # Unit-speed geodesic of the log metric g = 3/t^2 is exp(s/sqrt(3)).
@@ -54,6 +69,15 @@ class TestGeodesicShoot:
             geodesic_shoot(BLOWUP, [1.0, 2.0], [1.0, 0.0], 1.0)
         with pytest.raises(ValueError):
             geodesic_shoot(CUBIC, [1.0], [1.0], -1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0])
+    def test_rejects_nonfinite_or_nonpositive_arclength_and_tol(self, bad):
+        # A nan arclength or tol used to "complete" with vacuous checks, and a
+        # zero or negative tol ended as step_underflow.
+        with pytest.raises(ValueError, match="arclength"):
+            geodesic_shoot(BLOWUP, [2.0, 1.0], [1.0, 0.3], bad)
+        with pytest.raises(ValueError, match="tol"):
+            geodesic_shoot(BLOWUP, [2.0, 1.0], [1.0, 0.3], 1.0, tol=bad)
 
     def test_first_same_as_last_stage_reuse(self, monkeypatch):
         # Stage 7 of an accepted step is the next step's stage 1, and its
@@ -171,24 +195,46 @@ class TestBoundaryRay:
     def test_octave_count_is_exact(self, monkeypatch):
         # 2**-29 spans exactly 29 octaves; a float log with base 2 rounds the
         # count up to 30 and integrates an extra octave of panels.
-        import conegeom.geodesics as geodesics
-
-        calls = []
-        hessian_metric = geodesics._hessian_metric
-
-        def counted(*args):
-            calls.append(None)
-            return hessian_metric(*args)
-
-        # One metric per quadrature node.
-        monkeypatch.setattr(geodesics, "_hessian_metric", counted)
+        calls = count_metric_jets(monkeypatch)
         boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=[2.0**-29])
         assert len(calls) == 8 * 4 * 29
 
-    def test_quadrature_refinement_stable(self):
-        coarse = boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=[1e-4], panels_per_octave=4)
-        fine = boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=[1e-4], panels_per_octave=8)
+    def test_quadrature_refinement_stable(self, monkeypatch):
+        import conegeom.geodesics as geodesics
+
+        monkeypatch.setattr(geodesics, "PANELS_PER_OCTAVE", 4)
+        coarse = boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=[1e-4])
+        monkeypatch.setattr(geodesics, "PANELS_PER_OCTAVE", 8)
+        fine = boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=[1e-4])
         assert abs(coarse.lengths[0] - fine.lengths[0]) < 0.01 * fine.lengths[0]
+
+    def test_each_stretch_is_integrated_once(self, monkeypatch):
+        # 20 rows, one new octave each: 20 * 4 panels * 8 nodes, where
+        # integrating every row over [t_min, 1] takes 8 * 4 * 210.
+        tf = load_fixture("blowup_p2")
+        (alpha,) = tf.metadata["boundary_points"]
+        (omega,) = tf.metadata["kahler_points"]
+        calls = count_metric_jets(monkeypatch)
+        study = boundary_ray_study(tf.tensor, alpha, omega)
+        assert len(study.rows) == 20
+        assert len(calls) == 640
+
+    def test_nested_rows_match_fresh_studies(self):
+        t_mins = [2.0**-k for k in range(1, 13)]
+        study = boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=t_mins)
+        for t_min, length, _ in study.rows:
+            (fresh,) = boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=[t_min]).lengths
+            assert length == pytest.approx(fresh, rel=1e-13, abs=0.0)
+        assert all(a <= b for a, b in zip(study.lengths, study.lengths[1:]))
+
+    def test_repeated_t_min_adds_nothing(self):
+        study = boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=[0.5, 0.25, 0.25])
+        assert study.rows[1] == study.rows[2]
+
+    def test_rejects_bad_t_mins(self):
+        for t_mins in ([], [0.5, 0.0], [1.0], [float("nan")]):
+            with pytest.raises(ValueError):
+                boundary_ray_study(BLOWUP, [1.0, 0.0], [2.0, 1.0], t_mins=t_mins)
 
 
 class TestValidateOnce:

@@ -246,6 +246,19 @@ class TestCli:
             assert out == ""
             assert "expected an integer >= 1" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "0", "-1"])
+    def test_nonfinite_or_nonpositive_arclength_and_tol_are_usage_errors(self, bad):
+        shot = ("geodesic", "blowup_p2", "--point", "2,1", "--vector", "1,0.3")
+        for args in (
+            (*shot, "--arclength", bad),
+            (*shot, "--arclength", "1", "--tol", bad),
+            ("lorentz-verify", "blowup_p2", "--point", "2,1", "--tol", bad),
+        ):
+            code, out, err = run_cli(*args)
+            assert code == 2
+            assert out == ""
+            assert "expected a finite number > 0" in err
+
     def test_scan_deterministic_output(self, tmp_path):
         args = (
             "scan", "synthetic_n3_b", "--point", "1,1,1", "--samples", "5",

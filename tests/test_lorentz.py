@@ -85,6 +85,11 @@ class TestIsometries:
         assert rep.passed
         assert rep.max_residual < 1e-8
 
+    def test_zero_samples_rejected(self):
+        # No sample would make the check pass vacuously with residual 0.
+        with pytest.raises(ValueError, match="samples"):
+            lorentz_isometry_check(reduce_to_standard(BLOWUP, [2.0, 1.0]), samples=0)
+
     def test_identity_is_isometry(self):
         model = reduce_to_standard(BLOWUP, [2.0, 1.0])
         g = metric_at(BLOWUP, [2.0, 1.0]).g

@@ -244,3 +244,8 @@ class TestTorusConsistency:
         assert rep.passed
         assert rep.max_residual < 1e-10
         assert rep.signature == (1, 3, 0)
+
+    def test_zero_samples_rejected(self):
+        # No sample would make the check pass vacuously with residual 0.
+        with pytest.raises(ValueError, match="samples"):
+            torus_consistency(samples=0)
