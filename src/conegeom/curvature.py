@@ -6,6 +6,12 @@ in the flat coordinates, where the metric derivative is totally symmetric)
 and the Riemann tensor come out at machine precision.  A finite-difference
 oracle built only from metric evaluations is provided for cross-validation.
 
+Sectional curvature has two routes.  The public :func:`sectional` contracts
+the Riemann array ``R`` with the plane.  The scanner's planes go through
+:func:`_sectional`, the same Hessian-metric identity contracted with the
+plane before ``R`` is formed: ``O(N^3)`` per plane from the Christoffel
+symbols alone, for one plane or a stack of them.
+
 Index conventions, fixed once for the whole package:
 
 * ``R(x, y)z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_{[x,y]} z``;
@@ -136,20 +142,49 @@ def sectional_from_curvature(curv: CurvatureAtPoint, u, v) -> float:
     if curv.riemann is None:
         raise ValueError("curvature data lacks the Riemann tensor")
     N = curv.base.shape[0]
-    return _sectional(curv, _tangent(N, u), _tangent(N, v))
-
-
-def _sectional(curv: CurvatureAtPoint, uvec: np.ndarray, vvec: np.ndarray) -> float:
-    # sectional_from_curvature on plain arrays, for loops over many planes.
+    uvec, vvec = _tangent(N, u), _tangent(N, v)
     g = curv.metric.g
-    guu = float(uvec @ g @ uvec)
-    gvv = float(vvec @ g @ vvec)
-    guv = float(uvec @ g @ vvec)
-    gram = guu * gvv - guv**2
-    if gram <= GRAM_RTOL * abs(guu * gvv):
-        raise DegeneratePlane("tangent vectors do not span a 2-plane")
+    gram = _gram(float(uvec @ g @ uvec), float(vvec @ g @ vvec), float(uvec @ g @ vvec))
     num = float(np.einsum("abkl,a,b,k,l->", curv.riemann, uvec, vvec, vvec, uvec))
     return num / gram
+
+
+def _gram(guu, gvv, guv):
+    # g(u,u) g(v,v) - g(u,v)^2, per plane for arrays; raises if any plane is degenerate.
+    gram = guu * gvv - guv**2
+    if (gram <= GRAM_RTOL * np.abs(guu * gvv)).any():
+        raise DegeneratePlane("tangent vectors do not span a 2-plane")
+    return gram
+
+
+def _sectional(curv: CurvatureAtPoint, u: np.ndarray, v: np.ndarray):
+    """Sectional curvature of span{u, v} from the Christoffel symbols alone.
+
+    The Hessian-metric identity of :func:`riemann_at` contracted with the
+    plane gives, with ``Gamma(x, y)_i = Gamma_{ijk} x^j y^k`` and
+    ``Gamma2(x, y) = g^-1 Gamma(x, y)``,
+
+        K * gram = Gamma(u, v) . Gamma2(u, v) - Gamma(u, u) . Gamma2(v, v)
+
+    in ``O(N^3)``; ``curv.riemann`` is never read.  ``u`` and ``v`` are one
+    plane ``(N,)``, giving a float, or a stack of planes ``(B, N)``, giving an
+    array of ``B`` values.  The scanner evaluates its planes here; the public
+    :func:`sectional` contracts ``R`` instead, so the two routes check each
+    other.
+    """
+    N = u.shape[-1]
+    pair = np.array([u, v]).swapaxes(0, -2)
+    # Rows u(x)u, u(x)v, v(x)u, v(x)v of the flattened outer products, per plane.
+    # The plane axes come last, so each row of a stack goes through the same
+    # products as a single plane and gives the same bits.
+    outer = (pair[..., :, None, :, None] * pair[..., None, :, None, :]).reshape(*pair.shape[:-2], 4, N * N)
+    gp = outer @ curv.metric.g.reshape(N * N)
+    gram = _gram(gp[..., 0], gp[..., 3], gp[..., 1])
+    first = outer[..., :2, :] @ curv.gamma_first.reshape(N, N * N).T  # Gamma(u, u), Gamma(u, v)
+    second = outer[..., 1::2, :] @ curv.gamma_second.reshape(N, N * N).T  # Gamma2(u, v), Gamma2(v, v)
+    terms = (first * second[..., ::-1, :]).sum(axis=-1)
+    k = (terms[..., 1] - terms[..., 0]) / gram
+    return float(k) if k.ndim == 0 else k
 
 
 def sectional(c: IntersectionTensor, point, u, v) -> float:

@@ -250,7 +250,10 @@ class LengthBoundReport:
 
 
 def length_bound_check(c: IntersectionTensor, points, slack: float = 1e-9) -> LengthBoundReport:
-    """Check ``L >= |log Vol(end) - log Vol(start)| / sqrt(n)`` for a path."""
+    """Check ``L >= |log Vol(end) - log Vol(start)| / sqrt(n)`` for a path,
+    up to a finite ``slack >= 0``."""
+    if not 0 <= slack < math.inf:
+        raise ValueError(f"slack must be finite and nonnegative, got {slack!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     length = path_length(c, pts)
     va = _jet(c, pts[0], 0)[0]

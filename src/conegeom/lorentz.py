@@ -12,6 +12,7 @@ verified on samples here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,9 +190,13 @@ def lorentz_isometry_check(
 
     Group elements are built in reduced coordinates and conjugated back by the
     adapted basis, so they preserve the volume form up to the dilation factor.
+    The check passes when the largest relative residual is below ``tol``,
+    which must be finite and positive.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     rng = np.random.default_rng(seed)
     c = model.tensor
     max_resid = 0.0
@@ -225,11 +230,13 @@ def full_cone_check(
 ) -> ConeExtensionReport:
     """Sample the whole positive component and test positive-definiteness of g.
 
-    Points are drawn from ``{q > 0, s_0 > 0}`` up to ``radius`` of the light
-    cone, including points far outside any given sub-cone of it.
+    Points are drawn from ``{q > 0, s_0 > 0}`` up to ``radius`` (in ``(0, 1)``)
+    of the light cone, including points far outside any given sub-cone of it.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
+    if not 0 < radius < 1:
+        raise ValueError(f"radius must lie strictly between 0 and 1, got {radius!r}")
     rng = np.random.default_rng(seed)
     c = model.tensor
     pts = [model.to_original(s) for s in _sample_reduced_points(model, samples, rng, radius=radius)]

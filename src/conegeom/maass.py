@@ -21,6 +21,7 @@ and the module verifies it against a product-rule expansion of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,12 +250,15 @@ class TorusReport:
 def torus_consistency(samples: int = 100, seed: int = 0, tol: float = 1e-10) -> TorusReport:
     """Compare the cone metric of the 2x2 determinant form with the trace
     metric under the real parametrization, over random positive-definite
-    base points and Hermitian tangent pairs."""
+    base points and Hermitian tangent pairs.  ``tol``, the bound on the largest
+    residual, must be finite and positive."""
     from .lorentz import gram_matrix
     from .metric import _metric_jet, signature_counts
 
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     rng = np.random.default_rng(seed)
     tensor = det_form_tensor()
     max_resid = 0.0

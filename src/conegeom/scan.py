@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegeneratePlane, NoValidPoints, NotPositiveDefinite, SingularMetric, VolumeNotPositive
-from .curvature import _sectional, riemann_at
+from .curvature import _sectional, christoffel_at
 from .metric import _hessian_metric, is_positive_definite, signature_counts
 from .tensors import IntersectionTensor, _coords, _jet
 
@@ -37,12 +38,20 @@ HISTOGRAM_BINS = 20
 
 
 def tensor_id(c: IntersectionTensor) -> str:
-    """Stable identifier for a tensor: hash of its canonical content."""
-    payload = json.dumps(
-        {"n": c.n, "N": c.N, "entries": sorted((list(k), v) for k, v in c.entries.items())},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+    """Stable identifier for a tensor: hash of its canonical content.
+
+    Computed once per tensor object and kept on it, since the tensor is
+    immutable.
+    """
+    cached = vars(c).get("_tensor_id")
+    if cached is None:
+        payload = json.dumps(
+            {"n": c.n, "N": c.N, "entries": sorted((list(k), v) for k, v in c.entries.items())},
+            sort_keys=True,
+        )
+        cached = hashlib.sha256(payload.encode()).hexdigest()[:12]
+        object.__setattr__(c, "_tensor_id", cached)
+    return cached
 
 
 def sample_cone_points(
@@ -173,34 +182,66 @@ def _orthonormal_pair(g: np.ndarray, rng, max_tries: int = 16):
     raise NoValidPoints("failed to draw a nondegenerate tangent plane")
 
 
+def _fixed_quadric(curv, f):
+    """``Q`` with ``R(y, f, f, z) = y^T Q z``, in ``O(N^3)`` from the Christoffel symbols:
+    ``Q = (Gamma f) (Gamma2 f) - Gamma(Gamma2(f, f))`` by the identity of
+    :func:`~conegeom.curvature.riemann_at`."""
+    N = f.shape[0]
+    second = (curv.gamma_second.reshape(N * N, N) @ f).reshape(N, N)
+    first = (curv.gamma_first.reshape(N * N, N) @ np.array([f, second @ f]).T).reshape(N, N, 2)
+    return first[..., 0] @ second - first[..., 1]
+
+
+def _stationary_tangents(a, b, c):
+    # Real roots of a t^2 + b t + c in the cancellation-free form; a negative
+    # discriminant is rounding at a double root and counts as zero.
+    q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+    if q == 0.0:
+        return [0.0] if a != 0.0 else []
+    return [c / q] + ([q / a] if a != 0.0 else [])
+
+
 def _line_max(curv, fixed, x, e):
     """Best ``(K, theta)`` over the planes ``span{cos(theta) x + sin(theta) e, fixed}``
     with ``|theta| <= 0.6``, or ``None`` if every candidate plane is degenerate.
 
     With ``z = (cos theta, sin theta)``, ``y = (x, e)`` and ``f = fixed``,
     ``K = z^T num z / z^T gram z`` for the 2x2 matrices
-    ``num_ij = R(y_i, f, f, y_j)`` and
+    ``num_ij = R(y_i, f, f, y_j) = y_i^T Q y_j`` (``Q`` from
+    :func:`_fixed_quadric`) and
     ``gram_ij = g(y_i, y_j) g(f, f) - g(y_i, f) g(y_j, f)``.  The quotient is
     stationary where ``num z`` is parallel to ``gram z``, a quadratic in
     ``tan theta``; its roots in the interval and both ends are the candidates.
+    They are ranked by the quotient, and the best one that spans a plane is
+    evaluated by :func:`~conegeom.curvature._sectional`, which gives ``K``.
     """
     g = curv.metric.g
-    y = np.stack([x, e])
-    num = y @ np.einsum("abkl,b,k->al", curv.riemann, fixed, fixed) @ y.T
-    gf = y @ g @ fixed
-    gram = (y @ g @ y.T) * float(fixed @ g @ fixed) - np.outer(gf, gf)
-    (n00, n01), (_, n11) = 0.5 * (num + num.T)
-    (g00, g01), (_, g11) = gram
-    roots = np.roots([n01 * g11 - n11 * g01, n00 * g11 - n11 * g00, n00 * g01 - n01 * g00])
-    thetas = np.arctan(roots.real)
-    found = []
-    for theta in [-0.6, 0.6, *thetas[np.abs(thetas) <= 0.6]]:
-        u = np.cos(theta) * x + np.sin(theta) * e
+    y = np.array([x, e])
+    (n00, n01), (n10, n11) = (y @ _fixed_quadric(curv, fixed) @ y.T).tolist()
+    n01 = 0.5 * (n01 + n10)
+    gy = y @ g
+    (y00, y01), (_, y11) = (gy @ y.T).tolist()
+    f0, f1 = (gy @ fixed).tolist()
+    ff = float(fixed @ g @ fixed)
+    g00, g01, g11 = y00 * ff - f0 * f0, y01 * ff - f0 * f1, y11 * ff - f1 * f1
+    thetas = [-0.6, 0.6]
+    for root in _stationary_tangents(n01 * g11 - n11 * g01, n00 * g11 - n11 * g00, n00 * g01 - n01 * g00):
+        theta = math.atan(root)
+        if abs(theta) <= 0.6:
+            thetas.append(theta)
+
+    def quotient(theta):
+        cs, sn = math.cos(theta), math.sin(theta)
+        zgz = g00 * cs * cs + 2.0 * g01 * cs * sn + g11 * sn * sn
+        znz = n00 * cs * cs + 2.0 * n01 * cs * sn + n11 * sn * sn
+        return znz / zgz if zgz > 0.0 else -math.inf
+
+    for theta in sorted(thetas, key=quotient, reverse=True):
         try:
-            found.append((_sectional(curv, u, fixed), theta))
+            return _sectional(curv, np.cos(theta) * x + np.sin(theta) * e, fixed), theta
         except DegeneratePlane:
             continue
-    return max(found, default=None)
+    return None
 
 
 def _refine_plane(curv, u, v):
@@ -269,7 +310,7 @@ def scan_sectional(
     curvs = []
     for p in points:
         try:
-            curv = riemann_at(c, p)
+            curv = christoffel_at(c, p)
         except (VolumeNotPositive, NotPositiveDefinite, SingularMetric):
             continue
         if is_positive_definite(curv.metric.g):
@@ -280,10 +321,10 @@ def scan_sectional(
         raise NoValidPoints("no tangent 2-planes exist in a one-dimensional cone")
     results = []
     for pi, curv in enumerate(curvs):
-        for j in range(planes_per_point):
-            idx = pi * planes_per_point + j
-            u, v = _orthonormal_pair(curv.metric.g, np.random.default_rng((seed, idx)))
-            results.append((idx, pi, _sectional(curv, u, v), u, v))
+        idx = range(pi * planes_per_point, (pi + 1) * planes_per_point)
+        us, vs = zip(*(_orthonormal_pair(curv.metric.g, np.random.default_rng((seed, i))) for i in idx))
+        k = _sectional(curv, np.array(us), np.array(vs)).tolist()
+        results.extend(zip(idx, [pi] * planes_per_point, k, us, vs))
 
     k_values = np.array([r[2] for r in results])
     i_min = int(np.argmin(k_values))

@@ -6,6 +6,7 @@ import pytest
 from conegeom import load_fixture
 from conegeom.curvature import (
     _metric_inverse,
+    _sectional,
     christoffel_at,
     fd_curvature_oracle,
     riemann_at,
@@ -13,7 +14,7 @@ from conegeom.curvature import (
     sectional_from_curvature,
 )
 from conegeom.errors import DegeneratePlane, SingularMetric
-from conegeom.metric import metric_at
+from conegeom.metric import is_positive_definite, metric_at
 from conegeom.tensors import IntersectionTensor, vol_derivatives, volume
 
 from conftest import anchor_of, random_interior_point
@@ -31,6 +32,19 @@ DENSE6 = IntersectionTensor(
     entries={
         idx: 1.0 if len(set(idx)) == 3 else 0.1 * float(_DENSE_RNG.uniform(-1.0, 1.0))
         for idx in itertools.combinations_with_replacement(range(6), 3)
+    },
+)
+
+# The benchmark's hyperbolic form t0^2 (t0^2 - sum_j t_j^2) in six variables
+# plus a seeded perturbation on every sorted multi-index: g > 0 near e_0.
+_HYPER_RNG = np.random.default_rng(46)
+HYPER46 = IntersectionTensor(
+    n=4,
+    N=6,
+    entries={
+        idx: 0.02 * float(_HYPER_RNG.standard_normal())
+        + (24.0 if idx == (0, 0, 0, 0) else -4.0 if idx[:2] == (0, 0) and idx[2] == idx[3] else 0.0)
+        for idx in itertools.combinations_with_replacement(range(6), 4)
     },
 )
 
@@ -276,6 +290,76 @@ class TestSectional:
         curv = riemann_at(CURVED3, t)
         u, v = rng.normal(size=3), rng.normal(size=3)
         assert sectional_from_curvature(curv, u, v) == sectional(CURVED3, t, u, v)
+
+
+def near_degeneracy_points(c, start, end, offsets):
+    """Points on the segment from ``start`` (g > 0) toward ``end`` (g indefinite),
+    at the given relative offsets inside the first point where g degenerates."""
+    start, end = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if is_positive_definite(metric_at(c, start + mid * (end - start)).g):
+            lo = mid
+        else:
+            hi = mid
+    return [start + lo * (1.0 - d) * (end - start) for d in offsets]
+
+
+class TestGammaForm:
+    """The scanner's per-plane form against the contraction of the Riemann array."""
+
+    @staticmethod
+    def assert_matches_riemann(c, points, rng, planes=20):
+        for p in points:
+            curv = riemann_at(c, p)
+            g = curv.metric.g
+            for _ in range(planes):
+                u, v = rng.normal(size=(2, c.N))
+                gram = float(u @ g @ u) * float(v @ g @ v) - float(u @ g @ v) ** 2
+
+                def gam(arr, x, y):
+                    return float(np.linalg.norm(np.einsum("ijk,j,k->i", arr, x, y)))
+
+                # Size of the two terms of K * gram, which cancel where K is small.
+                scale = gam(curv.gamma_first, u, v) * gam(curv.gamma_second, u, v) + gam(
+                    curv.gamma_first, u, u
+                ) * gam(curv.gamma_second, v, v)
+                diff = abs(_sectional(curv, u, v) - sectional_from_curvature(curv, u, v)) * gram
+                assert diff <= 1e-10 * scale
+
+    @pytest.mark.parametrize(
+        "tensor, anchor",
+        [(CURVED3, [1.0, 1.0, 1.0]), (DENSE6, np.ones(6)), (HYPER46, np.eye(6)[0])],
+        ids=["curved3", "dense6", "hyper46"],
+    )
+    def test_matches_riemann_contraction(self, tensor, anchor):
+        rng = np.random.default_rng(31)
+        points = [random_interior_point(tensor, np.asarray(anchor, dtype=float), rng) for _ in range(4)]
+        self.assert_matches_riemann(tensor, points, rng)
+
+    def test_matches_riemann_contraction_near_degeneracy(self):
+        c = load_fixture("synthetic_n3_b").tensor
+        points = near_degeneracy_points(c, [1.0, 1.0, 1.0], [1.792, 0.182, -1.506], (1e-3, 1e-4, 1e-5, 1e-6))
+        assert min(christoffel_at(c, p).cond for p in points) >= 1e3
+        self.assert_matches_riemann(c, points, np.random.default_rng(32))
+
+    def test_batched_rows_equal_single_planes(self):
+        rng = np.random.default_rng(33)
+        for tensor, anchor in ((CURVED3, [1.0, 1.0, 1.0]), (DENSE6, np.ones(6)), (HYPER46, np.eye(6)[0])):
+            curv = christoffel_at(tensor, anchor)  # no Riemann array
+            us, vs = rng.normal(size=(2, 17, tensor.N))
+            batched = _sectional(curv, us, vs)
+            assert batched.shape == (17,)
+            assert batched.tolist() == [_sectional(curv, u, v) for u, v in zip(us, vs)]
+
+    def test_degenerate_row_rejected(self):
+        curv = christoffel_at(CURVED3, [1.0, 1.0, 1.0])
+        us = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        vs = np.array([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+        with pytest.raises(DegeneratePlane):
+            _sectional(curv, us, vs)
+        assert _sectional(curv, us[0], vs[0]) == _sectional(curv, us[:1], vs[:1])[0]
 
 
 class TestFdOracle:

@@ -160,6 +160,12 @@ class TestLengthBound:
         rep = length_bound_check(c, pts)
         assert rep.length == pytest.approx(rep.bound, abs=1e-8)
 
+    @pytest.mark.parametrize("slack", [math.inf, math.nan, -1e-9])
+    def test_slack_must_be_finite_and_nonnegative(self, slack):
+        # An infinite slack would pass whatever the length.
+        with pytest.raises(ValueError, match="slack"):
+            length_bound_check(BLOWUP, [[2.0, 1.0], [3.0, 1.0]], slack=slack)
+
 
 class TestBoundaryRay:
     def test_blowup_positive_volume_boundary_converges(self):

@@ -90,6 +90,19 @@ class TestIsometries:
         with pytest.raises(ValueError, match="samples"):
             lorentz_isometry_check(reduce_to_standard(BLOWUP, [2.0, 1.0]), samples=0)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-8])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # An infinite tolerance would pass whatever the residual.
+        with pytest.raises(ValueError, match="tol"):
+            lorentz_isometry_check(reduce_to_standard(BLOWUP, [2.0, 1.0]), samples=3, tol=tol)
+
+    @pytest.mark.parametrize("radius", [np.nan, 1.5, -1.0, 0.0, 1.0])
+    def test_cone_radius_must_lie_inside_the_light_cone(self, radius):
+        # nan blamed the metric for every point, 1.5 sampled outside the cone
+        # and -1.0 passed.
+        with pytest.raises(ValueError, match="radius"):
+            full_cone_check(reduce_to_standard(BLOWUP, [2.0, 1.0]), samples=3, radius=radius)
+
     def test_identity_is_isometry(self):
         model = reduce_to_standard(BLOWUP, [2.0, 1.0])
         g = metric_at(BLOWUP, [2.0, 1.0]).g

@@ -249,3 +249,9 @@ class TestTorusConsistency:
         # No sample would make the check pass vacuously with residual 0.
         with pytest.raises(ValueError, match="samples"):
             torus_consistency(samples=0)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-10])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # An infinite tolerance would pass whatever the residual.
+        with pytest.raises(ValueError, match="tol"):
+            torus_consistency(samples=3, tol=tol)

@@ -112,18 +112,39 @@ class TestScanSectional:
         import conegeom.scan as scan_module
 
         real = scan_module._sectional
-        calls = []
+        single_plane_calls = []
 
         def failing_after_start(curv, u, v):
-            calls.append(None)
-            if len(calls) > 2 * 4 + 1:  # the raw samples and the ascent's start
-                raise RuntimeError("defect inside the curvature contraction")
+            # The raw samples are batched calls; the ascent's start is the first
+            # single-plane call, and every later one is inside a line search.
+            if np.ndim(u) == 1:
+                single_plane_calls.append(None)
+                if len(single_plane_calls) > 1:
+                    raise RuntimeError("defect inside the curvature contraction")
             return real(curv, u, v)
 
         monkeypatch.setattr(scan_module, "_sectional", failing_after_start)
         pts = points_for(CURVED3, [1.0, 1.0, 1.0], count=2)
         with pytest.raises(RuntimeError):
             scan_sectional(CURVED3, pts, planes_per_point=4, optimize=True)
+
+    def test_scan_builds_no_riemann_array(self, monkeypatch):
+        # Scan planes use the Christoffel form; the N^4 array is never formed.
+        import conegeom.curvature as curvature_module
+        import conegeom.scan as scan_module
+
+        calls = []
+
+        def recording_riemann_at(*args):
+            calls.append(args)
+            return riemann_at(*args)
+
+        monkeypatch.setattr(curvature_module, "riemann_at", recording_riemann_at)
+        monkeypatch.setattr(scan_module, "riemann_at", recording_riemann_at, raising=False)
+        pts = points_for(DENSE6, np.ones(6), count=3)
+        report = scan_sectional(DENSE6, pts, planes_per_point=5, optimize=True, seed=4)
+        assert calls == []
+        assert len(report.k_samples) == 15
 
     def test_histogram_counts_match_samples(self):
         pts = points_for(CURVED3, [1.0, 1.0, 1.0], count=5)
@@ -178,3 +199,18 @@ class TestTensorId:
         c = tensor_id(RANK3)
         assert a == b
         assert a != c
+
+    def test_computed_once_per_tensor(self, monkeypatch):
+        import conegeom.scan as scan_module
+
+        c = IntersectionTensor(n=2, N=2, entries={(0, 0): 1.0, (1, 1): -1.0})
+        assert tensor_id(c) == "cc52ce02ab71"
+        assert tensor_id(load_fixture("synthetic_n3_b").tensor) == "5f2a5278ab98"
+
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("tensor content encoded again")
+
+        monkeypatch.setattr(scan_module.json, "dumps", no_encoding)
+        assert tensor_id(c) == "cc52ce02ab71"
+        report = signature_profile(c, [np.array([2.0, 1.0])])
+        assert report.tensor == "cc52ce02ab71"
