@@ -259,14 +259,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, tensor_arg=True, **kwargs):
+    def add(name, func, tensor_arg=True, seed=False, tol=None, out=False, fmt=False, **kwargs):
+        # Each subcommand gets only the shared options its command reads.
         p = sub.add_parser(name, **kwargs)
         if tensor_arg:
             p.add_argument("tensor", help="tensor JSON file (or packaged fixture name)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=_positive_float, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if tol is not None:
+            p.add_argument("--tol", type=_positive_float, default=tol)
+        if out:
+            p.add_argument("--out", default=None)
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.set_defaults(func=func)
         return p
 
@@ -276,14 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("metric", cmd_metric, help="metric matrix at a point")
     p.add_argument("--point", type=_parse_coords, required=True)
 
-    p = add("curvature", cmd_curvature, help="Riemann tensor and residuals at a point")
+    p = add("curvature", cmd_curvature, out=True, fmt=True, help="Riemann tensor and residuals at a point")
     p.add_argument("--point", type=_parse_coords, required=True)
 
     p = add("sectional", cmd_sectional, help="sectional curvature of a 2-plane")
     p.add_argument("--point", type=_parse_coords, required=True)
     p.add_argument("--vector", type=_parse_coords, action="append")
 
-    p = add("geodesic", cmd_geodesic, help="shoot a unit-speed geodesic")
+    p = add("geodesic", cmd_geodesic, tol=1e-10, out=True, help="shoot a unit-speed geodesic")
     p.add_argument("--point", type=_parse_coords, required=True)
     p.add_argument("--vector", type=_parse_coords, action="append")
     p.add_argument("--arclength", type=_positive_float, required=True)
@@ -296,31 +301,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector", type=_parse_coords, action="append", help="interior direction")
     p.add_argument("--samples", type=_positive_int, default=20)
 
-    p = add("lorentz-verify", cmd_lorentz_verify, help="surface model reduction and checks")
+    p = add("lorentz-verify", cmd_lorentz_verify, seed=True, tol=1e-8, help="surface model reduction and checks")
     p.add_argument("--point", type=_parse_coords, required=True, help="reference volume-positive class")
     p.add_argument("--samples", type=_positive_int, default=100)
 
-    p = add("maass-verify", cmd_maass_verify, tensor_arg=False, help="matrix-model identity battery")
+    p = add("maass-verify", cmd_maass_verify, tensor_arg=False, seed=True, tol=1e-12,
+            help="matrix-model identity battery")
     p.add_argument("--samples", type=_positive_int, default=100)
 
-    p = add("scan", cmd_scan, help="sectional-curvature scan near an anchor")
+    p = add("scan", cmd_scan, seed=True, out=True, fmt=True, help="sectional-curvature scan near an anchor")
     p.add_argument("--point", type=_parse_coords, required=True, help="anchor point")
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--planes-per-point", type=_positive_int, default=32)
     p.add_argument("--optimize", action="store_true")
 
-    p = add("signature", cmd_signature, help="metric signature profile over the volume cone")
+    p = add("signature", cmd_signature, seed=True, out=True, fmt=True,
+            help="metric signature profile over the volume cone")
     p.add_argument("--point", type=_parse_coords, required=True, help="anchor point")
     p.add_argument("--samples", type=_positive_int, default=100)
 
     return parser
-
-
-_DEFAULT_TOLS = {
-    "geodesic": 1e-10,
-    "lorentz-verify": 1e-8,
-    "maass-verify": 1e-12,
-}
 
 
 def main(argv=None) -> int:
@@ -329,8 +329,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "tol", None) is None:
-        args.tol = _DEFAULT_TOLS.get(args.command, 1e-10)
     try:
         return args.func(args)
     except TensorFormatError as exc:

@@ -50,8 +50,9 @@ class CurvatureAtPoint:
     the last two), ``gamma_second`` holds ``Gamma^l_{jk}`` indexed
     ``[l, j, k]``, and ``riemann`` is the covariant array described in the
     module docstring (``None`` when only the Christoffel part was requested).
-    ``cond`` is the 2-norm condition number ``max |lambda| / min |lambda|``
-    of the metric at ``base``.
+    ``eigvals`` and ``eigvecs`` are the decomposition
+    ``g = V diag(lambda) V^T`` of the metric at ``base``, and ``cond`` is its
+    2-norm condition number ``max |lambda| / min |lambda|``.
     """
 
     gamma_first: np.ndarray
@@ -59,10 +60,12 @@ class CurvatureAtPoint:
     riemann: np.ndarray | None
     base: np.ndarray
     metric: MetricAtPoint
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
     cond: float
 
     def __post_init__(self):
-        for name in ("gamma_first", "gamma_second", "riemann", "base"):
+        for name in ("gamma_first", "gamma_second", "riemann", "base", "eigvals", "eigvecs"):
             a = getattr(self, name)
             if a is None:
                 continue
@@ -83,8 +86,9 @@ def _potential_third(vol, v1, v2, v3):
 
 
 def _metric_inverse(g: np.ndarray):
-    """``(g^-1, cond)`` from one ``eigh``: ``g^-1 = V diag(1/lambda) V^T`` and
-    ``cond = max |lambda| / min |lambda|``, which must not exceed ``CONDITION_LIMIT``."""
+    """``(g^-1, lambda, V, cond)`` from one ``eigh`` ``g = V diag(lambda) V^T``:
+    ``g^-1 = V diag(1/lambda) V^T`` and ``cond = max |lambda| / min |lambda|``,
+    which must not exceed ``CONDITION_LIMIT``."""
     if not np.all(np.isfinite(g)):
         raise SingularMetric("metric has non-finite entries")
     lam, vecs = np.linalg.eigh(g)
@@ -92,7 +96,7 @@ def _metric_inverse(g: np.ndarray):
     cond = float(np.max(mags) / np.min(mags)) if np.min(mags) > 0 else np.inf
     if cond > CONDITION_LIMIT:
         raise SingularMetric(f"metric condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    return (vecs / lam) @ vecs.T, cond
+    return (vecs / lam) @ vecs.T, lam, vecs, cond
 
 
 def christoffel_at(c: IntersectionTensor, point) -> CurvatureAtPoint:
@@ -100,7 +104,7 @@ def christoffel_at(c: IntersectionTensor, point) -> CurvatureAtPoint:
     pt = as_point(point)
     data, (vol, v1, v2, v3) = _metric_at(c, pt, 3)
     f3 = _potential_third(vol, v1, v2, v3)
-    g_inv, cond = _metric_inverse(data.g)
+    g_inv, lam, vecs, cond = _metric_inverse(data.g)
     gamma1 = 0.5 * f3
     gamma2 = np.einsum("lm,mjk->ljk", g_inv, gamma1)
     return CurvatureAtPoint(
@@ -109,6 +113,8 @@ def christoffel_at(c: IntersectionTensor, point) -> CurvatureAtPoint:
         riemann=None,
         base=pt.t,
         metric=data,
+        eigvals=lam,
+        eigvecs=vecs,
         cond=cond,
     )
 
@@ -241,7 +247,7 @@ def fd_curvature_oracle(c: IntersectionTensor, point, step: float) -> CurvatureA
         - np.einsum("ijk->ijk", dg)
         + np.einsum("kij->ijk", dg)
     )
-    g_inv, cond = _metric_inverse(g0)
+    g_inv, lam, vecs, cond = _metric_inverse(g0)
     gamma2 = np.einsum("lm,mjk->ljk", g_inv, gamma1)
 
     # d_i Gamma_{mjk} from second differences of the metric.
@@ -268,5 +274,7 @@ def fd_curvature_oracle(c: IntersectionTensor, point, step: float) -> CurvatureA
         riemann=riem,
         base=t,
         metric=data,
+        eigvals=lam,
+        eigvecs=vecs,
         cond=cond,
     )

@@ -50,12 +50,6 @@ class TensorFile:
     def name(self) -> str | None:
         return self.metadata.get("name")
 
-    def kahler_points(self):
-        return [ConePoint(p, claimed_kahler=True) for p in self.metadata.get("kahler_points", [])]
-
-    def boundary_points(self):
-        return [ConePoint(p) for p in self.metadata.get("boundary_points", [])]
-
 
 def _parse_document(doc, source: str) -> TensorFile:
     if not isinstance(doc, dict):

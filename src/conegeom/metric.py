@@ -96,11 +96,15 @@ def signature_counts(m) -> tuple[int, int, int]:
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         return 0, 0, m.shape[0]
-    eig = np.linalg.eigvalsh(m)
+    return _sign_counts(np.linalg.eigvalsh(m))
+
+
+def _sign_counts(eig: np.ndarray) -> tuple[int, int, int]:
+    # The counting rule of signature_counts, for eigenvalues already at hand.
     thresh = SIGNATURE_RTOL * max(np.max(np.abs(eig)), 1e-300)
     pos = int(np.sum(eig > thresh))
     neg = int(np.sum(eig < -thresh))
-    return pos, neg, m.shape[0] - pos - neg
+    return pos, neg, eig.shape[0] - pos - neg
 
 
 def is_positive_definite(g) -> bool:

@@ -1,11 +1,18 @@
 """Sampling-based exploration of sectional curvature and metric signature.
 
 The scanner draws tangent 2-planes at sampled base points, evaluates their
-sectional curvature, optionally refines the largest value by an ascent over
-nearby planes made of closed-form line searches, and can also profile the
-eigenvalue signs of the metric across the volume-positive region.  Everything
-is reported as evidence: no negativity statement is asserted for degree >= 3,
-where the question is open.
+sectional curvature, optionally refines the largest value by an ascent whose
+steps are exact maxima over the planes through one vector (top eigenvectors
+of the Jacobi operator), and can also profile the eigenvalue signs of the
+metric across the volume-positive region.  Everything is reported as
+evidence: no negativity statement is asserted for degree >= 3, where the
+question is open.
+
+Planes through the radial direction are flat: log-homogeneity gives
+``Gamma(t, x) = -g x``, so ``R(x, t, t, x) = 0`` for every ``x`` at every point
+where ``g`` is invertible, and ``sup K >= 0`` everywhere.  A ``k_max`` of
+rounding size is such a flat radial plane; a negative ``k_max`` means the
+planes were undersampled.
 
 Reproducibility: all randomness for a sample with index ``i`` comes from
 ``default_rng((seed, i))``, so each sample's draws depend only on the seed
@@ -16,14 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePlane, NoValidPoints, NotPositiveDefinite, SingularMetric, VolumeNotPositive
+from .errors import NoValidPoints, NotPositiveDefinite, SingularMetric, VolumeNotPositive
 from .curvature import _sectional, christoffel_at
-from .metric import _hessian_metric, is_positive_definite, signature_counts
+from .metric import _hessian_metric, _sign_counts, is_positive_definite, signature_counts
 from .tensors import IntersectionTensor, _coords, _jet
 
 __all__ = [
@@ -35,6 +41,9 @@ __all__ = [
 ]
 
 HISTOGRAM_BINS = 20
+SAMPLE_TRIES = 200  # candidate points per sample before NoValidPoints
+PLANE_TRIES = 16  # random pairs per plane before NoValidPoints
+ASCENT_STEPS = 8  # cap on the steps of the --optimize plane ascent
 
 
 def tensor_id(c: IntersectionTensor) -> str:
@@ -61,7 +70,6 @@ def sample_cone_points(
     seed: int = 0,
     spread: float = 0.25,
     require_pd: bool = True,
-    max_tries: int = 200,
 ):
     """Rejection-sample points near an anchor subject to ``Vol > 0`` (and
     optionally a positive-definite metric).
@@ -76,7 +84,7 @@ def sample_cone_points(
     for i in range(count):
         rng = np.random.default_rng((seed, 7, i))
         accepted = None
-        for _ in range(max_tries):
+        for _ in range(SAMPLE_TRIES):
             candidate = t0 + scale * rng.normal(size=c.N)
             jet = _jet(c, candidate, 2)
             if jet[0] <= 0:
@@ -87,7 +95,7 @@ def sample_cone_points(
             break
         if accepted is None:
             raise NoValidPoints(
-                f"could not sample point {i} near anchor {t0.tolist()} after {max_tries} tries"
+                f"could not sample point {i} near anchor {t0.tolist()} after {SAMPLE_TRIES} tries"
             )
         points.append(accepted)
     return points
@@ -165,9 +173,9 @@ class ScanReport:
         return out
 
 
-def _orthonormal_pair(g: np.ndarray, rng, max_tries: int = 16):
+def _orthonormal_pair(g: np.ndarray, rng):
     n = g.shape[0]
-    for _ in range(max_tries):
+    for _ in range(PLANE_TRIES):
         x = rng.normal(size=n)
         y = rng.normal(size=n)
         nx = float(x @ g @ x)
@@ -192,99 +200,46 @@ def _fixed_quadric(curv, f):
     return first[..., 0] @ second - first[..., 1]
 
 
-def _stationary_tangents(a, b, c):
-    # Real roots of a t^2 + b t + c in the cancellation-free form; a negative
-    # discriminant is rounding at a double root and counts as zero.
-    q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
-    if q == 0.0:
-        return [0.0] if a != 0.0 else []
-    return [c / q] + ([q / a] if a != 0.0 else [])
+def _best_partner(curv, f):
+    """The g-unit vector ``x`` with ``g(x, f) = 0`` that maximizes ``K(x, f)``.
 
-
-def _line_max(curv, fixed, x, e):
-    """Best ``(K, theta)`` over the planes ``span{cos(theta) x + sin(theta) e, fixed}``
-    with ``|theta| <= 0.6``, or ``None`` if every candidate plane is degenerate.
-
-    With ``z = (cos theta, sin theta)``, ``y = (x, e)`` and ``f = fixed``,
-    ``K = z^T num z / z^T gram z`` for the 2x2 matrices
-    ``num_ij = R(y_i, f, f, y_j) = y_i^T Q y_j`` (``Q`` from
-    :func:`_fixed_quadric`) and
-    ``gram_ij = g(y_i, y_j) g(f, f) - g(y_i, f) g(y_j, f)``.  The quotient is
-    stationary where ``num z`` is parallel to ``gram z``, a quadratic in
-    ``tan theta``; its roots in the interval and both ends are the candidates.
-    They are ranked by the quotient, and the best one that spans a plane is
-    evaluated by :func:`~conegeom.curvature._sectional`, which gives ``K``.
+    For such ``x``, ``K(x, f) = x^T Q x / g(f, f)`` with ``Q`` the Jacobi
+    operator ``R(., f, f, .)`` from :func:`_fixed_quadric`, so ``x`` is its top
+    eigenvector on the g-complement of ``f``.  In whitened coordinates
+    ``y = lambda^1/2 V^T x`` (``g = V diag(lambda) V^T``) the metric is the
+    identity, and a complete QR of the whitened ``f`` gives an orthonormal
+    basis of its complement; mapped back by ``V lambda^-1/2``, that is a
+    g-orthonormal basis ``B`` of the g-complement of ``f``.
     """
-    g = curv.metric.g
-    y = np.array([x, e])
-    (n00, n01), (n10, n11) = (y @ _fixed_quadric(curv, fixed) @ y.T).tolist()
-    n01 = 0.5 * (n01 + n10)
-    gy = y @ g
-    (y00, y01), (_, y11) = (gy @ y.T).tolist()
-    f0, f1 = (gy @ fixed).tolist()
-    ff = float(fixed @ g @ fixed)
-    g00, g01, g11 = y00 * ff - f0 * f0, y01 * ff - f0 * f1, y11 * ff - f1 * f1
-    thetas = [-0.6, 0.6]
-    for root in _stationary_tangents(n01 * g11 - n11 * g01, n00 * g11 - n11 * g00, n00 * g01 - n01 * g00):
-        theta = math.atan(root)
-        if abs(theta) <= 0.6:
-            thetas.append(theta)
-
-    def quotient(theta):
-        cs, sn = math.cos(theta), math.sin(theta)
-        zgz = g00 * cs * cs + 2.0 * g01 * cs * sn + g11 * sn * sn
-        znz = n00 * cs * cs + 2.0 * n01 * cs * sn + n11 * sn * sn
-        return znz / zgz if zgz > 0.0 else -math.inf
-
-    for theta in sorted(thetas, key=quotient, reverse=True):
-        try:
-            return _sectional(curv, np.cos(theta) * x + np.sin(theta) * e, fixed), theta
-        except DegeneratePlane:
-            continue
-    return None
+    whiten = curv.eigvecs / np.sqrt(curv.eigvals)
+    f_white = np.sqrt(curv.eigvals) * (curv.eigvecs.T @ f)
+    basis = whiten @ np.linalg.qr(f_white[:, None], mode="complete")[0][:, 1:]
+    q = _fixed_quadric(curv, f)
+    return basis @ np.linalg.eigh(basis.T @ (0.5 * (q + q.T)) @ basis)[1][:, -1]
 
 
 def _refine_plane(curv, u, v):
-    """Coordinate-wise ascent of K over nearby 2-planes by exact line searches.
+    """Ascent of K over 2-planes by alternating exact steps on the Jacobi operator.
 
-    Each vector of the pair in turn is rotated toward each complement direction
-    of a g-orthonormal frame by the best angle :func:`_line_max` finds, and the
-    pair is re-orthonormalized after every accepted move.
+    Each step keeps one vector ``f`` of the plane and replaces the other by
+    :func:`_best_partner` of ``f``, which gives the best plane through ``f``.
+    A plane is taken only if it raises K by more than ``1e-15``; either way the
+    next step keeps the other vector.  Once a step after the first gains
+    nothing, neither vector can improve the plane, and the ascent ends; it
+    takes at most ``ASCENT_STEPS`` steps.  The new vector is g-orthogonal to
+    ``f``, so the plane's Gram determinant is ``g(f, f) > 0``.
     """
-    g = curv.metric.g
-    n = g.shape[0]
-
-    def gs_pair(a, b):
-        a = a / np.sqrt(float(a @ g @ a))
-        b = b - float(b @ g @ a) * a
-        return a, b / np.sqrt(float(b @ g @ b))
-
-    u, v = gs_pair(u, v)
     best = _sectional(curv, u, v)
-    # Complete {u, v} to a g-orthonormal frame from the coordinate basis.
-    frame = [u, v]
-    for i in range(n):
-        cand = np.eye(n)[i]
-        for f in frame:
-            cand = cand - float(cand @ g @ f) * f
-        norm = float(cand @ g @ cand)
-        if norm > 1e-10:
-            frame.append(cand / np.sqrt(norm))
-    frame = frame[: n]
-    for _ in range(3):
-        improved = False
-        # K(u, v) = K(v, u), so either vector of the pair is rotated the same way.
-        for which in (0, 1):
-            for e in frame[2:]:
-                found = _line_max(curv, frame[1 - which], frame[which], e)
-                if found is not None and found[0] > best + 1e-15:
-                    best, theta = found
-                    frame[which] = np.cos(theta) * frame[which] + np.sin(theta) * e
-                    frame[0], frame[1] = gs_pair(frame[0], frame[1])
-                    improved = True
-        if not improved:
+    for step in range(ASCENT_STEPS):
+        x = _best_partner(curv, v)
+        k = _sectional(curv, x, v)
+        if k > best + 1e-15:
+            best, u, v = k, v, x
+        elif step:
             break
-    return best, frame[0], frame[1]
+        else:
+            u, v = v, u
+    return best, u, v
 
 
 def scan_sectional(
@@ -302,7 +257,8 @@ def scan_sectional(
     points : iterable of base points, each with positive volume and
         positive-definite metric (violating points are dropped).
     planes_per_point : number of g-orthonormal random planes per point.
-    optimize : refine the largest sample by plane-space ascent.
+    optimize : refine the largest sample by the plane ascent of
+        :func:`_refine_plane`; ``k_max`` is never below the best sample.
     seed : drives all plane randomness, per-sample substreams.
     """
     if planes_per_point < 1:
@@ -313,7 +269,7 @@ def scan_sectional(
             curv = christoffel_at(c, p)
         except (VolumeNotPositive, NotPositiveDefinite, SingularMetric):
             continue
-        if is_positive_definite(curv.metric.g):
+        if _sign_counts(curv.eigvals)[0] == c.N:
             curvs.append(curv)
     if not curvs:
         raise NoValidPoints("no sampled point has positive volume and positive-definite metric")

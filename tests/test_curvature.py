@@ -262,11 +262,31 @@ class TestRiemann:
         rng = np.random.default_rng(6)
         t = random_interior_point(RANK3, np.array([1.0, 1.0, 0.0]), rng)
         from conegeom.metric import primitive_decompose
+        from conegeom.scan import _fixed_quadric
 
         _, p1 = primitive_decompose(RANK3, t, rng.normal(size=3))
         _, p2 = primitive_decompose(RANK3, t, rng.normal(size=3))
         assert sectional(RANK3, t, p1, p2) == pytest.approx(-0.5, abs=1e-10)
-        assert sectional(RANK3, t, t, p1.u + 0.3 * np.asarray(t)) == pytest.approx(0.0, abs=1e-10)
+        # Radial planes are flat at every degree, definite g or not:
+        # log-homogeneity gives Gamma(t, x) = -g x, so R(x, t, t, x) = 0.
+        n3b = load_fixture("synthetic_n3_b").tensor
+        cases = [
+            (RANK3, t, p1.u + 0.3 * np.asarray(t)),
+            (CURVED3, random_interior_point(CURVED3, np.ones(3), rng), rng.normal(size=3)),
+            (DENSE6, random_interior_point(DENSE6, np.ones(6), rng), rng.normal(size=6)),
+            (n3b, np.ones(3), rng.normal(size=3)),
+            (n3b, np.array([1.792, 0.182, -1.506]), np.array([0.0, 1.0, 0.0])),  # Vol > 0, g indefinite
+        ]
+        for c, point, x in cases:
+            curv = christoffel_at(c, point)
+            g = curv.metric.g
+            assert float(x @ g @ x) * float(point @ g @ point) - float(x @ g @ point) ** 2 > 0
+            assert sectional(c, point, point, x) == pytest.approx(0.0, abs=1e-10)
+            assert _sectional(curv, point, x) == pytest.approx(0.0, abs=1e-10)
+            g_inv = np.linalg.inv(g)
+            scale = np.max(np.abs(curv.gamma_first)) ** 2 * np.max(np.abs(g_inv)) * float(point @ point)
+            assert np.max(np.abs(_fixed_quadric(curv, point))) <= 1e-12 * scale
+        assert not is_positive_definite(metric_at(n3b, cases[-1][1]).g)
 
 
 class TestSectional:

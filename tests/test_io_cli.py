@@ -1,10 +1,14 @@
 import json
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conegeom
 from conegeom.curvature import riemann_at, sectional, sectional_from_curvature
 from conegeom.errors import DimensionMismatch, NotPositiveDefinite, TensorFormatError
 from conegeom.geodesics import boundary_ray_study, geodesic_shoot, path_length
@@ -27,13 +31,27 @@ from conegeom.tensors import IntersectionTensor
 from conftest import ALL_FIXTURES
 
 
-def run_cli(*args):
+# The package under test, importable from a subprocess in any directory.
+PACKAGE_ROOT = str(Path(conegeom.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def run_cli(*args, cwd=None):
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "conegeom.cli", *args],
         capture_output=True,
         text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def readme_cli_lines():
+    """The ``conegeom ...`` lines of the README's command-line example block."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("conegeom ")]
 
 
 class TestTensorFiles:
@@ -155,6 +173,35 @@ class TestCli:
         code, _, err = run_cli("vol", "no_such_file.json", "--point", "1")
         assert code == 2
         assert "TensorFormatError" in err
+
+    def test_options_a_subcommand_does_not_read_are_usage_errors(self):
+        for args in (
+            ("vol", "blowup_p2", "--point", "2,1", "--tol", "1e-3"),
+            ("metric", "blowup_p2", "--point", "2,1", "--seed", "1"),
+            ("curvature", "blowup_p2", "--point", "2,1", "--tol", "1e-3"),
+            ("geodesic", "blowup_p2", "--point", "2,1", "--vector", "1,0", "--arclength", "1", "--format", "csv"),
+            ("maass-verify", "--out", "m.json"),
+            ("scan", "blowup_p2", "--point", "2,1", "--tol", "1e-3"),
+        ):
+            code, out, err = run_cli(*args)
+            assert code == 2
+            assert out == ""
+            assert "unrecognized arguments" in err
+
+    def test_readme_examples(self, tmp_path):
+        # Each example exits 0 unless its comment says otherwise; a comment
+        # that is not an exit status is the expected stdout.
+        lines = readme_cli_lines()
+        assert len(lines) == 12
+        for line in lines:
+            command, _, comment = (part.strip() for part in line.partition("#"))
+            code, out, err = run_cli(*shlex.split(command)[1:], cwd=tmp_path)
+            if comment.startswith("exit "):
+                status, error = comment[len("exit "):].split(", ")
+                assert code == int(status) and error in err, line
+            else:
+                assert code == 0, (line, err)
+                assert not comment or out.strip() == comment, line
 
     def test_unknown_subcommand(self):
         code, _, _ = run_cli("frobnicate")

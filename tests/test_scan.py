@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conegeom.curvature import _sectional, riemann_at, sectional
+from conegeom.curvature import _sectional, christoffel_at, riemann_at, sectional
 from conegeom import load_fixture
-from conegeom.errors import DegeneratePlane, DimensionMismatch, NoValidPoints
+from conegeom.errors import DimensionMismatch, NoValidPoints
 from conegeom.scan import (
-    _line_max,
+    ASCENT_STEPS,
+    _best_partner,
     sample_cone_points,
     scan_sectional,
     signature_profile,
@@ -19,6 +22,19 @@ BLOWUP = IntersectionTensor(n=2, N=2, entries={(0, 0): 1.0, (1, 1): -1.0})
 RANK3 = IntersectionTensor(n=2, N=3, entries={(0, 1): 1.0, (2, 2): -2.0})
 CUBIC = IntersectionTensor(n=3, N=1, entries={(0, 0, 0): 6.0})
 CURVED3 = IntersectionTensor(n=3, N=3, entries={(0, 0, 0): 0.6, (0, 1, 2): 1.0})
+# The hyperbolic form t0 (t0^2 - sum_j t_j^2) in six variables with a large
+# seeded perturbation on every sorted multi-index: g > 0 near e_0, and the
+# plane ascent there runs past its step cap.
+_STRONG_RNG = np.random.default_rng(2)
+STRONG6 = IntersectionTensor(
+    n=3,
+    N=6,
+    entries={
+        idx: 0.6 * float(_STRONG_RNG.standard_normal())
+        + (6.0 if idx == (0, 0, 0) else -2.0 if idx[0] == 0 and idx[1] == idx[2] else 0.0)
+        for idx in itertools.combinations_with_replacement(range(6), 3)
+    },
+)
 
 
 def points_for(tensor, anchor, count=25, seed=0, **kw):
@@ -87,28 +103,49 @@ class TestScanSectional:
         point, u, v = opt.k_max_plane
         assert sectional(CURVED3, point, u, v) == pytest.approx(opt.k_max, abs=1e-12)
 
-    def test_line_search_is_the_maximum_on_its_interval(self):
-        # The closed form beats a dense grid of direct evaluations on [-0.6, 0.6].
+    def test_pencil_step_is_the_best_plane_through_its_vector(self):
+        # The top eigenvector of the Jacobi operator beats 2,000 random planes
+        # through the same vector, and is g-unit and g-orthogonal to it.
         rng = np.random.default_rng(11)
-        thetas = np.linspace(-0.6, 0.6, 1201)
         for tensor, anchor in ((CURVED3, [1.0, 1.0, 1.0]), (DENSE6, np.ones(6))):
             for p in points_for(tensor, anchor, count=4, seed=5):
-                curv = riemann_at(tensor, p)
+                curv = christoffel_at(tensor, p)
+                g = curv.metric.g
                 for _ in range(3):
-                    x, e, f = rng.normal(size=(3, tensor.N))
-                    grid = []
-                    for th in thetas:
-                        try:
-                            grid.append(_sectional(curv, np.cos(th) * x + np.sin(th) * e, f))
-                        except DegeneratePlane:
-                            continue
-                    k, theta = _line_max(curv, f, x, e)
-                    assert abs(theta) <= 0.6
-                    assert k == _sectional(curv, np.cos(theta) * x + np.sin(theta) * e, f)
-                    assert k >= max(grid) - 1e-12 * max(abs(v) for v in grid)
+                    f = rng.normal(size=tensor.N)
+                    x = _best_partner(curv, f)
+                    assert float(x @ g @ x) == pytest.approx(1.0, abs=1e-12)
+                    assert abs(float(x @ g @ f)) <= 1e-12 * np.sqrt(float(f @ g @ f))
+                    k = _sectional(curv, x, f)
+                    ys = rng.normal(size=(2000, tensor.N))
+                    ks = _sectional(curv, ys, np.broadcast_to(f, ys.shape))
+                    assert k >= ks.max() - 1e-12 * max(1.0, float(np.abs(ks).max()))
+
+    def test_ascent_ends_within_its_step_cap(self, monkeypatch):
+        # One _fixed_quadric per step: never more than ASCENT_STEPS per
+        # refinement, and on STRONG6 the cap is reached.  On DENSE6 the first
+        # step's plane is final and the ascent stops after the second.
+        import conegeom.scan as scan_module
+
+        real = scan_module._fixed_quadric
+        calls = []
+
+        def counting(curv, f):
+            calls.append(None)
+            return real(curv, f)
+
+        monkeypatch.setattr(scan_module, "_fixed_quadric", counting)
+        per_refinement = []
+        for tensor, anchor in ((CURVED3, [1.0, 1.0, 1.0]), (DENSE6, np.ones(6)), (STRONG6, np.eye(6)[0])):
+            for s in range(3):
+                calls.clear()
+                pts = points_for(tensor, anchor, count=1, seed=s)
+                scan_sectional(tensor, pts, planes_per_point=32, optimize=True, seed=s)
+                per_refinement.append(len(calls))
+        assert min(per_refinement) == 2 and max(per_refinement) == ASCENT_STEPS
 
     def test_optimizer_propagates_unexpected_errors(self, monkeypatch):
-        # Only a degenerate plane may be skipped during refinement.
+        # The ascent catches no error: one inside it reaches the caller.
         import conegeom.scan as scan_module
 
         real = scan_module._sectional
@@ -116,7 +153,7 @@ class TestScanSectional:
 
         def failing_after_start(curv, u, v):
             # The raw samples are batched calls; the ascent's start is the first
-            # single-plane call, and every later one is inside a line search.
+            # single-plane call, and every later one is inside an ascent step.
             if np.ndim(u) == 1:
                 single_plane_calls.append(None)
                 if len(single_plane_calls) > 1:
