@@ -299,7 +299,8 @@ def boundary_ray_study(c: IntersectionTensor, alpha, omega, t_mins=None) -> RayS
     ``PANELS_PER_OCTAVE`` geometric panels per octave of the stretch.  The
     report flags ``converged`` when successive lengths differ by less than
     ``1e-4`` of the last value, and ``diverging`` when the lengths track a
-    log-volume bound that has grown past ten times the first segment's length.
+    log-volume bound that has grown to ten times its first row (both carry
+    ``1/sqrt(n)``, so the rule does not depend on the degree).
     A ray point where ``Vol <= 0`` or ``g(omega, omega) < 0`` raises
     :class:`VolumeNotPositive` or :class:`NotPositiveDefinite`.
     """
@@ -333,6 +334,6 @@ def boundary_ray_study(c: IntersectionTensor, alpha, omega, t_mins=None) -> RayS
         last, prev = rows[-1][1], rows[-2][1]
         if abs(last - prev) < 1e-4 * abs(last):
             flag = "converged"
-        elif rows[-1][2] >= 10.0 * rows[0][1] and last >= rows[-1][2] - 1e-9:
+        elif rows[-1][2] >= 10.0 * rows[0][2] > 0 and last >= rows[-1][2] - 1e-9:
             flag = "diverging"
     return RayStudy(rows=rows, flag=flag)

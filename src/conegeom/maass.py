@@ -22,7 +22,7 @@ and the module verifies it against a product-rule expansion of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,9 +62,10 @@ def _is_hermitian(a: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class HermitianPoint:
-    """Hermitian positive-definite base point."""
+    """Hermitian positive-definite base point and its read-only inverse."""
 
     omega: np.ndarray
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _as_matrix(self.omega)
@@ -75,14 +76,13 @@ class HermitianPoint:
             raise NotPositiveDefinite(f"base point has nonpositive eigenvalue {np.min(eig)!r}")
         m.setflags(write=False)
         object.__setattr__(self, "omega", m)
+        inverse = np.linalg.solve(m, np.eye(m.shape[0], dtype=complex))
+        inverse.setflags(write=False)
+        object.__setattr__(self, "inverse", inverse)
 
     @property
     def size(self) -> int:
         return self.omega.shape[0]
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return np.linalg.solve(self.omega, np.eye(self.size, dtype=complex))
 
 
 @dataclass(frozen=True)

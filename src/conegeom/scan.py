@@ -14,9 +14,10 @@ where ``g`` is invertible, and ``sup K >= 0`` everywhere.  A ``k_max`` of
 rounding size is such a flat radial plane; a negative ``k_max`` means the
 planes were undersampled.
 
-Reproducibility: all randomness for a sample with index ``i`` comes from
-``default_rng((seed, i))``, so each sample's draws depend only on the seed
-and its index.
+Reproducibility: the candidates for sampled point ``i`` come from
+``default_rng((seed, 7, i))``, and the planes of the ``pi``-th point a scan
+keeps from ``default_rng((seed, pi))``, drawn as one batch; plane ``j`` of a
+point depends only on ``seed``, ``pi`` and ``j``, not on ``planes_per_point``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
 
 HISTOGRAM_BINS = 20
 SAMPLE_TRIES = 200  # candidate points per sample before NoValidPoints
-PLANE_TRIES = 16  # random pairs per plane before NoValidPoints
 ASCENT_STEPS = 8  # cap on the steps of the --optimize plane ascent
 
 
@@ -71,11 +71,16 @@ def sample_cone_points(
     spread: float = 0.25,
     require_pd: bool = True,
 ):
-    """Rejection-sample points near an anchor subject to ``Vol > 0`` (and
-    optionally a positive-definite metric).
+    """Rejection-sample ``count >= 1`` points near an anchor subject to
+    ``Vol > 0`` (and optionally a positive-definite metric); ``spread``, finite
+    and positive, scales the Gaussian steps relative to the anchor's norm.
 
     Raises :class:`NoValidPoints` when the acceptance rate collapses.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
+    if not 0 < spread < np.inf:
+        raise ValueError(f"spread must be finite and positive, got {spread!r}")
     t0 = _coords(c, anchor)
     if _jet(c, t0, 0)[0] <= 0:
         raise NoValidPoints("anchor point has nonpositive volume")
@@ -173,21 +178,10 @@ class ScanReport:
         return out
 
 
-def _orthonormal_pair(g: np.ndarray, rng):
-    n = g.shape[0]
-    for _ in range(PLANE_TRIES):
-        x = rng.normal(size=n)
-        y = rng.normal(size=n)
-        nx = float(x @ g @ x)
-        if nx <= 0:
-            continue
-        u = x / np.sqrt(nx)
-        w = y - float(y @ g @ u) * u
-        nw = float(w @ g @ w)
-        if nw <= 1e-12 * float(y @ g @ y):
-            continue
-        return u, w / np.sqrt(nw)
-    raise NoValidPoints("failed to draw a nondegenerate tangent plane")
+def _whitening(curv):
+    """``W = V lambda^-1/2`` and ``W^-1`` for ``g = V diag(lambda) V^T``, so that ``W^T g W = I``."""
+    root = np.sqrt(curv.eigvals)
+    return curv.eigvecs / root, root[:, None] * curv.eigvecs.T
 
 
 def _fixed_quadric(curv, f):
@@ -205,15 +199,13 @@ def _best_partner(curv, f):
 
     For such ``x``, ``K(x, f) = x^T Q x / g(f, f)`` with ``Q`` the Jacobi
     operator ``R(., f, f, .)`` from :func:`_fixed_quadric`, so ``x`` is its top
-    eigenvector on the g-complement of ``f``.  In whitened coordinates
-    ``y = lambda^1/2 V^T x`` (``g = V diag(lambda) V^T``) the metric is the
-    identity, and a complete QR of the whitened ``f`` gives an orthonormal
-    basis of its complement; mapped back by ``V lambda^-1/2``, that is a
-    g-orthonormal basis ``B`` of the g-complement of ``f``.
+    eigenvector on the g-complement of ``f``.  A complete QR of ``f`` in the
+    coordinates of :func:`_whitening` gives an orthonormal basis of its
+    complement there; mapped back by ``W``, that is a g-orthonormal basis
+    ``B`` of the g-complement of ``f``.
     """
-    whiten = curv.eigvecs / np.sqrt(curv.eigvals)
-    f_white = np.sqrt(curv.eigvals) * (curv.eigvecs.T @ f)
-    basis = whiten @ np.linalg.qr(f_white[:, None], mode="complete")[0][:, 1:]
+    white, unwhite = _whitening(curv)
+    basis = white @ np.linalg.qr((unwhite @ f)[:, None], mode="complete")[0][:, 1:]
     q = _fixed_quadric(curv, f)
     return basis @ np.linalg.eigh(basis.T @ (0.5 * (q + q.T)) @ basis)[1][:, -1]
 
@@ -259,7 +251,8 @@ def scan_sectional(
     planes_per_point : number of g-orthonormal random planes per point.
     optimize : refine the largest sample by the plane ascent of
         :func:`_refine_plane`; ``k_max`` is never below the best sample.
-    seed : drives all plane randomness, per-sample substreams.
+    seed : the planes of point ``pi`` come from ``default_rng((seed, pi))``;
+        plane ``j`` depends only on ``seed``, ``pi`` and ``j``.
     """
     if planes_per_point < 1:
         raise ValueError(f"planes_per_point must be at least 1, got {planes_per_point!r}")
@@ -275,43 +268,44 @@ def scan_sectional(
         raise NoValidPoints("no sampled point has positive volume and positive-definite metric")
     if c.N < 2:
         raise NoValidPoints("no tangent 2-planes exist in a one-dimensional cone")
-    results = []
+    # Each plane is the g-Gram-Schmidt of two iid N(0, I) vectors: one QR per
+    # point, batched over its planes, in the coordinates of _whitening.
+    planes, k_values = [], []
     for pi, curv in enumerate(curvs):
-        idx = range(pi * planes_per_point, (pi + 1) * planes_per_point)
-        us, vs = zip(*(_orthonormal_pair(curv.metric.g, np.random.default_rng((seed, i))) for i in idx))
-        k = _sectional(curv, np.array(us), np.array(vs)).tolist()
-        results.extend(zip(idx, [pi] * planes_per_point, k, us, vs))
+        white, unwhite = _whitening(curv)
+        pairs = np.random.default_rng((seed, pi)).standard_normal((planes_per_point, 2, c.N))
+        planes.append((white @ np.linalg.qr(unwhite @ pairs.swapaxes(1, 2))[0]).transpose(2, 0, 1))
+        k_values.append(_sectional(curv, *planes[-1]))
+    k_values = np.concatenate(k_values)
 
-    k_values = np.array([r[2] for r in results])
-    i_min = int(np.argmin(k_values))
-    i_max = int(np.argmax(k_values))
+    def plane(i):
+        pi, j = divmod(i, planes_per_point)
+        return curvs[pi].base, planes[pi][0][j], planes[pi][1][j]
+
+    i_min, i_max = int(np.argmin(k_values)), int(np.argmax(k_values))
     k_min, k_max = float(k_values[i_min]), float(k_values[i_max])
-    min_plane = (curvs[results[i_min][1]].base, results[i_min][3], results[i_min][4])
-    max_plane = (curvs[results[i_max][1]].base, results[i_max][3], results[i_max][4])
+    min_plane, max_plane = plane(i_min), plane(i_max)
 
-    optimized = False
     if optimize:
-        pi = results[i_max][1]
-        refined, u_ref, v_ref = _refine_plane(curvs[pi], results[i_max][3], results[i_max][4])
+        refined, u_ref, v_ref = _refine_plane(curvs[i_max // planes_per_point], *max_plane[1:])
         # The optimizer never reports less than the best raw sample.
         if refined > k_max:
             k_max = refined
-            max_plane = (curvs[pi].base, u_ref, v_ref)
-        optimized = True
+            max_plane = (max_plane[0], u_ref, v_ref)
 
     counts, edges = np.histogram(k_values, bins=HISTOGRAM_BINS)
     return ScanReport(
         tensor=tensor_id(c),
         seed=seed,
         points=[curv.base for curv in curvs],
-        k_samples=[(r[0], r[1], r[2]) for r in results],
+        k_samples=[(i, i // planes_per_point, k) for i, k in enumerate(k_values.tolist())],
         k_min=k_min,
         k_max=k_max,
         k_min_plane=min_plane,
         k_max_plane=max_plane,
         histogram={"edges": edges, "counts": counts},
         planes_per_point=planes_per_point,
-        optimized=optimized,
+        optimized=bool(optimize),
     )
 
 

@@ -194,6 +194,20 @@ class TestBoundaryRay:
         for _, length, bound in study.rows:
             assert length >= bound - 1e-9
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_diverging_flag_does_not_depend_on_the_degree(self, n):
+        # Vol = t_0 ... t_{n-1} along (1, ..., 1, t): each octave adds exactly
+        # log 2 of length and log(2) / sqrt(n) of bound, so the ray diverges at
+        # every degree; ten octaves of bound growth are needed to say so.
+        c = IntersectionTensor(n=n, N=n, entries={tuple(range(n)): 1.0})
+        alpha, omega = [1.0] * (n - 1) + [0.0], np.eye(n)[n - 1]
+        study = boundary_ray_study(c, alpha, omega)
+        assert study.flag == "diverging"
+        assert study.lengths[-1] == pytest.approx(20 * math.log(2), rel=1e-12)
+        for rows in (2, 9):
+            short = boundary_ray_study(c, alpha, omega, t_mins=[2.0**-k for k in range(1, rows + 1)])
+            assert short.flag == "inconclusive"
+
     def test_volume_must_stay_positive(self):
         with pytest.raises(VolumeNotPositive):
             boundary_ray_study(BLOWUP, [0.0, 1.0], [1.0, 0.0], t_mins=[0.5])

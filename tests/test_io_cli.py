@@ -36,16 +36,20 @@ PACKAGE_ROOT = str(Path(conegeom.__file__).resolve().parents[1])
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_cli(*args, cwd=None):
+def run_python(*args, cwd=None):
     path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "conegeom.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(*args, cwd=None):
+    return run_python("-m", "conegeom.cli", *args, cwd=cwd)
 
 
 def readme_cli_lines():
@@ -202,6 +206,18 @@ class TestCli:
             else:
                 assert code == 0, (line, err)
                 assert not comment or out.strip() == comment, line
+
+    def test_readme_quick_start(self, tmp_path):
+        # The library quick start runs as printed, and its results hold: the
+        # commented flat sectional value, a completed geodesic and a passed bound.
+        section = README.read_text().split("## Library quick start", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        status, out, err = run_python("-c", code, cwd=tmp_path)
+        assert status == 0, err
+        lines = out.splitlines()
+        assert "0.0" in lines
+        assert any(line.startswith("completed ") for line in lines)
+        assert "passed=True" in out
 
     def test_unknown_subcommand(self):
         code, _, _ = run_cli("frobnicate")

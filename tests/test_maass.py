@@ -37,6 +37,22 @@ class TestTypes:
         with pytest.raises(NotPositiveDefinite):
             HermitianPoint(np.diag([1.0, -1.0]).astype(complex))
 
+    def test_inverse_is_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        pt = HermitianPoint(random_pd(rng, 3))
+        z, w, u = (random_hermitian(rng, 3) for _ in range(3))
+        assert np.allclose(pt.inverse @ pt.omega, np.eye(3), atol=1e-12)
+        assert not pt.inverse.flags.writeable
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("base point inverted again")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        inner(pt, z, w)
+        bracket(pt, z, w)
+        connection(pt, z, u)
+        curvature_oracle(pt, z, w, u)
+
     def test_base_point_must_be_hermitian(self):
         with pytest.raises(ValueError):
             HermitianPoint(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))

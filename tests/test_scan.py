@@ -41,6 +41,21 @@ def points_for(tensor, anchor, count=25, seed=0, **kw):
     return sample_cone_points(tensor, anchor, count, seed=seed, **kw)
 
 
+def record_planes(monkeypatch):
+    """Record ``(curv, u, v)`` of each batched plane evaluation of a scan."""
+    import conegeom.scan as scan_module
+
+    drawn = []
+
+    def recording(curv, u, v):
+        if np.ndim(u) == 2:
+            drawn.append((curv, np.array(u), np.array(v)))
+        return _sectional(curv, u, v)
+
+    monkeypatch.setattr(scan_module, "_sectional", recording)
+    return drawn
+
+
 class TestSampler:
     def test_points_satisfy_preconditions(self):
         from conegeom.metric import is_positive_definite, metric_at
@@ -56,6 +71,18 @@ class TestSampler:
         a = points_for(BLOWUP, [2.0, 1.0], seed=5)
         b = points_for(BLOWUP, [2.0, 1.0], seed=5)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("require_pd", [False, True])
+    @pytest.mark.parametrize(
+        "count, spread, name",
+        [(5, np.nan, "spread"), (5, np.inf, "spread"), (5, 0.0, "spread"), (5, -0.25, "spread"),
+         (0, 0.25, "count"), (-3, 0.25, "count")],
+    )
+    def test_count_and_spread_must_be_valid(self, count, spread, name, require_pd):
+        # A nan spread gave nan points, an infinite one +-inf points and a
+        # negative count an empty list; with require_pd the geometry was blamed.
+        with pytest.raises(ValueError, match=name):
+            sample_cone_points(CURVED3, [1.0, 1.0, 1.0], count, spread=spread, require_pd=require_pd)
 
     def test_bad_anchor(self):
         with pytest.raises(NoValidPoints):
@@ -87,6 +114,33 @@ class TestScanSectional:
         a = scan_sectional(CURVED3, pts, planes_per_point=8, seed=3)
         b = scan_sectional(CURVED3, pts, planes_per_point=8, seed=3)
         assert a.to_dict() == b.to_dict()
+
+    def test_drawn_planes_are_g_orthonormal(self, monkeypatch):
+        torus = load_fixture("torus_det")
+        (torus_point,) = torus.metadata["kahler_points"]
+        for tensor, anchor in ((CURVED3, [1.0, 1.0, 1.0]), (DENSE6, np.ones(6)), (torus.tensor, torus_point)):
+            drawn = record_planes(monkeypatch)
+            scan_sectional(tensor, points_for(tensor, anchor, count=5), planes_per_point=16, seed=7)
+            assert len(drawn) == 5
+            for curv, u, v in drawn:
+                g = curv.metric.g
+                assert np.abs(np.einsum("pi,ij,pj->p", u, g, u) - 1.0).max() <= 1e-12
+                assert np.abs(np.einsum("pi,ij,pj->p", v, g, v) - 1.0).max() <= 1e-12
+                assert np.abs(np.einsum("pi,ij,pj->p", u, g, v)).max() <= 1e-12
+
+    def test_planes_do_not_depend_on_planes_per_point(self, monkeypatch):
+        # Plane j of point pi depends only on (seed, pi, j): a shorter scan
+        # draws the same leading planes, bit for bit, and the same K values.
+        pts = points_for(DENSE6, np.ones(6), count=4)
+        drawn = record_planes(monkeypatch)
+        short = scan_sectional(DENSE6, pts, planes_per_point=4, seed=9)
+        long = scan_sectional(DENSE6, pts, planes_per_point=8, seed=9)
+        assert len(drawn) == 8
+        for pi, ((_, u4, v4), (_, u8, v8)) in enumerate(zip(drawn[:4], drawn[4:])):
+            assert np.array_equal(u4, u8[:4]) and np.array_equal(v4, v8[:4])
+            ks_short = [k for _, point, k in short.k_samples if point == pi]
+            ks_long = [k for _, point, k in long.k_samples if point == pi]
+            assert ks_short == ks_long[:4]
 
     def test_reported_values_reproducible_by_direct_call(self):
         pts = points_for(CURVED3, [1.0, 1.0, 1.0], count=6)
