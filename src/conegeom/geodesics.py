@@ -34,33 +34,48 @@ __all__ = [
 ]
 
 STEP_FLOOR = 1e-14
+# The embedded error test never asks for less than a few ulps of the state.
+ERROR_FLOOR = 4 * np.finfo(float).eps
+DEGENERACY_RATIO = 1e-3
 VOLUME_EXIT_FACTOR = 1e-12
 PANELS_PER_OCTAVE = 4
 
-# Dormand-Prince 5(4) tableau; the last row of _DP_A is the 5th-order solution.
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+# Dormand-Prince 5(4) tableau as one lower-triangular stage matrix; its last
+# row is the 5th-order solution, so stage 7 is evaluated at y5.
+_DP_A = np.array(
+    [
+        row + [0.0] * (7 - len(row))
+        for row in (
+            [],
+            [1 / 5],
+            [3 / 40, 9 / 40],
+            [44 / 45, -56 / 15, 32 / 9],
+            [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+            [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+            [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+        )
+    ]
+)
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+# Weights of the embedded error estimate y5 - y4.
+_DP_E = _DP_A[6] - _DP_B4
 
 
 @dataclass(frozen=True)
 class GeodesicPath:
     """Discretized geodesic: arc parameter, points, velocities and speeds.
 
-    ``status`` is ``"completed"`` when the arc length was covered.  Otherwise
+    ``status`` is ``"completed"`` when the arc length was covered, and
+    ``"metric_degenerate"`` when the shot reached a point ``t`` where
+    ``lambda_min(g) * |t|^2 <= DEGENERACY_RATIO * n``; that point is the last
+    one kept.  Since ``g(t, t) = n`` gives ``lambda_max >= n / |t|^2``, such a
+    point also has ``lambda_min <= DEGENERACY_RATIO * lambda_max``.  Otherwise
     the step shrank below ``STEP_FLOOR``: ``"exited_volume_cone"`` if the last
     rejection was a stage point with ``Vol <= VOLUME_EXIT_FACTOR * Vol(t0)``
     or a singular metric, ``"step_underflow"`` if it was the error estimate
-    or the speed drift (as on the metric-degeneracy locus).
+    or the speed drift.
     """
 
     s: np.ndarray
@@ -96,7 +111,18 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     """Shoot a unit-speed geodesic from ``t0`` in direction ``u0``.
 
     The initial velocity is normalized to ``g(u, u) = 1``, so the run covers
-    the requested arc length unless the volume-cone boundary intervenes.
+    the requested arc length unless the volume-cone boundary or the
+    degeneracy locus (``Vol > 0`` but ``lambda_min(g) -> 0``) intervenes.
+
+    Each accepted step takes the eigenvalues of the metric its last stage
+    built at the new point ``t``, and the run ends ``"metric_degenerate"`` at
+    the first point where ``lambda_min * |t|^2 <= DEGENERACY_RATIO * n``.
+    The test is scale-free: ``g`` is homogeneous of degree -2, and
+    ``lambda_min / lambda_max`` alone can be tiny on a complete geodesic.
+    Such an ending is evidence about this one geodesic, not a completeness
+    statement.  The embedded error test accepts a step whose normalized
+    estimate is at most ``max(0.1 * tol / arclength * h, ERROR_FLOOR)``, so
+    no step is asked for accuracy below rounding.
 
     Parameters
     ----------
@@ -151,8 +177,11 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     h = min(arclength, 1e-2)
     samples = [(0.0, y.copy(), 1.0)]
     status = "completed"
-    # First same as last: stage 7 is evaluated at y5, the next step's stage 1.
-    k = [None] * 7
+    degenerate_level = DEGENERACY_RATIO * c.n
+    # Stage derivatives, one row each.  First same as last: stage 7 is
+    # evaluated at y5 and becomes the next step's stage 1.
+    K = np.empty((7, 2 * N))
+    have_k0 = False
     boundary_reject = False
     while s_val < arclength:
         h = min(h, arclength - s_val)
@@ -160,32 +189,36 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
             status = "exited_volume_cone" if boundary_reject else "step_underflow"
             break
         try:
-            if k[0] is None:
-                k[0] = rhs(y)[0]
+            if not have_k0:
+                K[0] = rhs(y)[0]
+                have_k0 = True
             for i in range(1, 7):
-                yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-                k[i], g = rhs(yi)
+                yi = y + h * (_DP_A[i, :i] @ K[:i])
+                K[i], g = rhs(yi)
         except _BoundaryHit:
             boundary_reject = True
             h *= 0.5
             continue
         y5 = yi
-        y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k))
-        err = float(np.max(np.abs(y5 - y4))) / max(1.0, float(np.max(np.abs(y5))))
+        err = float(np.max(np.abs(h * (_DP_E @ K)))) / max(1.0, float(np.max(np.abs(y5))))
+        err_tol = max(err_tol_per_unit * h, ERROR_FLOOR)
         sp = float(y5[N:] @ g @ y5[N:])
         drift = abs(sp - 1.0)
-        if err > err_tol_per_unit * h or drift > max(tol, err_tol_per_unit * h * 10):
+        if err > err_tol or drift > max(tol, err_tol_per_unit * h * 10):
             boundary_reject = False
             h *= 0.5
             continue
         s_val += h
         y = y5
-        k[0] = k[6]
-        samples.append((s_val, y.copy(), sp))
+        K[0] = K[6]
+        samples.append((s_val, y, sp))
         boundary_reject = False
+        if np.linalg.eigvalsh(g)[0] * float(y[:N] @ y[:N]) <= degenerate_level:
+            status = "metric_degenerate"
+            break
         # Standard 5th-order step growth, capped.
         if err > 0:
-            h *= min(4.0, max(0.2, 0.9 * (err_tol_per_unit * h / err) ** 0.2))
+            h *= min(4.0, max(0.2, 0.9 * (err_tol / err) ** 0.2))
         else:
             h *= 4.0
     s_arr = np.array([s for s, _, _ in samples])

@@ -49,7 +49,9 @@ HERMITICITY_TOL = 1e-12
 
 
 def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
+    # A copy: the constructors below make their matrix read-only, and must
+    # not do that to the caller's own array.
+    m = np.array(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m

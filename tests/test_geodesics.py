@@ -6,11 +6,13 @@ import pytest
 from conegeom import load_fixture
 from conegeom.errors import VolumeNotPositive
 from conegeom.geodesics import (
+    DEGENERACY_RATIO,
     boundary_ray_study,
     geodesic_shoot,
     length_bound_check,
     path_length,
 )
+from conegeom.metric import metric_at
 from conegeom.tensors import IntersectionTensor
 
 from conftest import random_interior_point
@@ -32,6 +34,19 @@ def count_metric_jets(monkeypatch):
 
     monkeypatch.setattr(geodesics, "_metric_jet", counted)
     return calls
+
+
+def metric_profile(c, path):
+    """Per point of a path: ``lambda_min |t|^2``, ``lambda_min / lambda_max``,
+    and the largest speed drift ``|g(t', t') - 1|``, from fresh metrics."""
+    scaled, ratio, drift = [], [], 0.0
+    for t, v in zip(path.points, path.velocities):
+        g = metric_at(c, t).g
+        lam = np.linalg.eigvalsh(g)
+        scaled.append(lam[0] * float(t @ t))
+        ratio.append(lam[0] / lam[-1])
+        drift = max(drift, abs(float(v @ g @ v) - 1.0))
+    return np.array(scaled), np.array(ratio), drift
 
 
 class TestGeodesicShoot:
@@ -63,6 +78,42 @@ class TestGeodesicShoot:
         path = geodesic_shoot(BLOWUP, [1.2, 1.0], [-1.0, 0.5], 6.0)
         assert path.status in ("completed", "exited_volume_cone")
         assert all(volume(BLOWUP, p) > 0 for p in path.points)
+
+    def test_locus_shot_ends_metric_degenerate(self, monkeypatch):
+        # On synthetic_n3_b this direction meets the degeneracy locus near
+        # s = 0.4461, where Vol stays near 1.94 but lambda_min(g) -> 0.  Once
+        # the error budget fell below rounding the shot used to take about
+        # 150,000 jets to reach step_underflow.
+        import conegeom.geodesics as geodesics
+
+        calls = []
+
+        def counted(*args, original=geodesics._jet):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(geodesics, "_jet", counted)
+        c = load_fixture("synthetic_n3_b").tensor
+        path = geodesic_shoot(c, (1, 1, 1), (1, 0.3, -0.2), 2.0)
+        assert path.status == "metric_degenerate"
+        assert len(calls) < 10_000
+        scaled, ratio, drift = metric_profile(c, path)
+        # The stop criterion holds at the last point and nowhere before it.
+        assert np.flatnonzero(scaled <= DEGENERACY_RATIO * c.n).tolist() == [len(path.s) - 1]
+        assert ratio[-1] <= DEGENERACY_RATIO
+        assert drift <= 1e-10
+        assert float(np.max(np.abs(path.speeds - 1.0))) <= 1e-10
+
+    def test_degeneracy_stop_is_scale_free(self):
+        # The complete geodesic of test_boundary_guard_keeps_volume_positive
+        # runs far out along the light cone of blowup_p2: lambda_min/lambda_max
+        # falls below 1e-6 while lambda_min |t|^2 / n stays at 1/2.  A stop on
+        # the condition number alone would cut it short.
+        path = geodesic_shoot(BLOWUP, [1.2, 1.0], [-1.0, 0.5], 6.0)
+        assert path.status == "completed"
+        scaled, ratio, _ = metric_profile(BLOWUP, path)
+        assert float(np.min(ratio)) < 1e-6
+        assert float(np.min(scaled)) > 0.4 * BLOWUP.n
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(VolumeNotPositive):

@@ -63,6 +63,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             MatrixTangent(np.array([[0, 1], [0, 0]], dtype=complex), hermitian_flag=True)
 
+    @pytest.mark.parametrize("cls", [HermitianPoint, MatrixTangent])
+    def test_caller_array_stays_writeable(self, cls):
+        # The stored matrix is read-only; the caller's complex array is not.
+        a = np.eye(2, dtype=complex)
+        obj = cls(a)
+        assert a.flags.writeable
+        a[0, 0] = 5.0
+        stored = obj.omega if cls is HermitianPoint else obj.a
+        assert stored[0, 0] == 1.0 and not stored.flags.writeable
+
 
 class TestInner:
     def test_identity_pairing(self):
