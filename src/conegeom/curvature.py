@@ -3,14 +3,20 @@
 All coordinate derivatives of the potential ``F = -log Vol`` are polynomial
 and evaluated exactly, so the Christoffel symbols (``Gamma_{ijk} = F_{ijk}/2``
 in the flat coordinates, where the metric derivative is totally symmetric)
-and the Riemann tensor come out at machine precision.  A finite-difference
-oracle built only from metric evaluations is provided for cross-validation.
+and the Riemann tensor come out at machine precision.
 
-Sectional curvature has two routes.  The public :func:`sectional` contracts
-the Riemann array ``R`` with the plane.  The scanner's planes go through
-:func:`_sectional`, the same Hessian-metric identity contracted with the
-plane before ``R`` is formed: ``O(N^3)`` per plane from the Christoffel
-symbols alone, for one plane or a stack of them.
+Every curvature value comes from one pairing of whitened Christoffel
+symbols.  With ``g = V diag(lambda) V^T``, ``W = V |lambda|^-1/2`` and
+``s = sign(lambda)``, the inverse metric is ``W diag(s) W^T``, so the
+Hessian-metric identity of :func:`riemann_at` reads
+``sum_p s_p Gt(x, y)_p Gt(z, w)_p`` in ``Gt = W^T Gamma``, taken from the
+``eigh`` of ``g`` with no inverse formed.  Three readers contract it: the
+Riemann array, the per-plane :func:`_sectional` and the Jacobi operator
+:func:`_fixed_quadric`.  The public :func:`sectional` contracts the Riemann
+array and the scanner uses :func:`_sectional`, so the two routes agree to
+rounding; the independent checks are :func:`fd_curvature_oracle`, built
+from metric evaluations alone, and the exact curvature of the determinant
+form in :mod:`conegeom.maass`.
 
 Index conventions, fixed once for the whole package:
 
@@ -27,7 +33,7 @@ import numpy as np
 
 from .errors import DegeneratePlane, SingularMetric
 from .metric import MetricAtPoint, _metric_at, _metric_jet
-from .tensors import IntersectionTensor, _tangent, as_point
+from .tensors import IntersectionTensor, _freeze, _tangent, as_point
 
 __all__ = [
     "CurvatureAtPoint",
@@ -46,17 +52,18 @@ GRAM_RTOL = 1e-12
 class CurvatureAtPoint:
     """Connection and curvature data of the cone metric at one point.
 
-    ``gamma_first`` holds ``Gamma_{ijk}`` (first index lowered, symmetric in
-    the last two), ``gamma_second`` holds ``Gamma^l_{jk}`` indexed
-    ``[l, j, k]``, and ``riemann`` is the covariant array described in the
-    module docstring (``None`` when only the Christoffel part was requested).
-    ``eigvals`` and ``eigvecs`` are the decomposition
-    ``g = V diag(lambda) V^T`` of the metric at ``base``, and ``cond`` is its
-    2-norm condition number ``max |lambda| / min |lambda|``.
+    ``gamma_first`` holds ``Gamma_{ijk}`` (totally symmetric) and
+    ``gamma_white`` its whitening ``Gt = W^T Gamma``, indexed ``[p, j, k]``,
+    which every curvature contraction reads (module docstring).  ``riemann``
+    is the covariant array described there (``None`` when only the
+    Christoffel part was requested).  ``eigvals`` and ``eigvecs`` are the
+    decomposition ``g = V diag(lambda) V^T`` of the metric at ``base`` that
+    gives ``W = V |lambda|^-1/2`` and ``s = sign(lambda)``, and ``cond`` is
+    its 2-norm condition number ``max |lambda| / min |lambda|``.
     """
 
     gamma_first: np.ndarray
-    gamma_second: np.ndarray
+    gamma_white: np.ndarray
     riemann: np.ndarray | None
     base: np.ndarray
     metric: MetricAtPoint
@@ -65,13 +72,7 @@ class CurvatureAtPoint:
     cond: float
 
     def __post_init__(self):
-        for name in ("gamma_first", "gamma_second", "riemann", "base", "eigvals", "eigvecs"):
-            a = getattr(self, name)
-            if a is None:
-                continue
-            a = np.asarray(a, dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _freeze(self, "gamma_first", "gamma_white", "riemann", "base", "eigvals", "eigvecs")
 
 
 def _potential_third(vol, v1, v2, v3):
@@ -85,10 +86,10 @@ def _potential_third(vol, v1, v2, v3):
     return -log3
 
 
-def _metric_inverse(g: np.ndarray):
-    """``(g^-1, lambda, V, cond)`` from one ``eigh`` ``g = V diag(lambda) V^T``:
-    ``g^-1 = V diag(1/lambda) V^T`` and ``cond = max |lambda| / min |lambda|``,
-    which must not exceed ``CONDITION_LIMIT``."""
+def _metric_eigh(g: np.ndarray):
+    """``(lambda, V, cond)`` from one ``eigh`` ``g = V diag(lambda) V^T``, with
+    ``cond = max |lambda| / min |lambda|``, which must not exceed
+    ``CONDITION_LIMIT``."""
     if not np.all(np.isfinite(g)):
         raise SingularMetric("metric has non-finite entries")
     lam, vecs = np.linalg.eigh(g)
@@ -96,27 +97,31 @@ def _metric_inverse(g: np.ndarray):
     cond = float(np.max(mags) / np.min(mags)) if np.min(mags) > 0 else np.inf
     if cond > CONDITION_LIMIT:
         raise SingularMetric(f"metric condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    return (vecs / lam) @ vecs.T, lam, vecs, cond
+    return lam, vecs, cond
+
+
+def _whitening(lam: np.ndarray, vecs: np.ndarray):
+    """``W = V |lambda|^-1/2`` and ``W^-1`` for ``g = V diag(lambda) V^T``, so
+    that ``W^T g W = diag(s)``."""
+    root = np.sqrt(np.abs(lam))
+    return vecs / root, root[:, None] * vecs.T
+
+
+def _connection(data: MetricAtPoint, gamma: np.ndarray) -> CurvatureAtPoint:
+    # Curvature data without the Riemann part, from the metric and Gamma_{ijk}.
+    lam, vecs, cond = _metric_eigh(data.g)
+    N = lam.shape[0]
+    white = _whitening(lam, vecs)[0].T @ gamma.reshape(N, N * N)
+    return CurvatureAtPoint(
+        gamma_first=gamma, gamma_white=white.reshape(N, N, N), riemann=None, base=data.point,
+        metric=data, eigvals=lam, eigvecs=vecs, cond=cond,
+    )
 
 
 def christoffel_at(c: IntersectionTensor, point) -> CurvatureAtPoint:
     """Christoffel symbols of the cone metric (Riemann part left unset)."""
-    pt = as_point(point)
-    data, (vol, v1, v2, v3) = _metric_at(c, pt, 3)
-    f3 = _potential_third(vol, v1, v2, v3)
-    g_inv, lam, vecs, cond = _metric_inverse(data.g)
-    gamma1 = 0.5 * f3
-    gamma2 = np.einsum("lm,mjk->ljk", g_inv, gamma1)
-    return CurvatureAtPoint(
-        gamma_first=gamma1,
-        gamma_second=gamma2,
-        riemann=None,
-        base=pt.t,
-        metric=data,
-        eigvals=lam,
-        eigvecs=vecs,
-        cond=cond,
-    )
+    data, (vol, v1, v2, v3) = _metric_at(c, as_point(point), 3)
+    return _connection(data, 0.5 * _potential_third(vol, v1, v2, v3))
 
 
 def riemann_at(c: IntersectionTensor, point) -> CurvatureAtPoint:
@@ -128,16 +133,18 @@ def riemann_at(c: IntersectionTensor, point) -> CurvatureAtPoint:
         R[a, b, k, l] = Gamma_{akp} g^{pq} Gamma_{blq} - Gamma_{alp} g^{pq} Gamma_{bkq}
 
     (Duistermaat, "On Hessian Riemannian structures", 2001; Totaro, "The
-    curvature of a Hessian metric", 2004).  Only ``F_{ijk}`` and the inverse
-    metric enter, and the identity needs no definiteness, so indefinite
-    metrics away from the positivity cone are handled the same way.
+    curvature of a Hessian metric", 2004), evaluated as
+    ``sum_p s_p Gt_{pak} Gt_{pbl} - sum_p s_p Gt_{pal} Gt_{pbk}``.  The
+    identity needs no definiteness, so indefinite metrics away from the
+    positivity cone are handled the same way.
     """
     curv = christoffel_at(c, point)
     N = c.N
-    # pairs[(a, k), (b, l)] = Gamma_{akp} Gamma^p_{bl}, made exactly symmetric:
+    # pairs[(a, k), (b, l)] = sum_p s_p Gt_{pak} Gt_{pbl}, made exactly symmetric:
     # that alone gives R[a, b] = -R[b, a] bit for bit, and keeps the pair and
     # Bianchi residuals at rounding level even where g is indefinite.
-    pairs = curv.gamma_first.reshape(N * N, N) @ curv.gamma_second.reshape(N, N * N)
+    white = curv.gamma_white.reshape(N, N * N)
+    pairs = (white.T * np.sign(curv.eigvals)) @ white
     pairs = 0.5 * (pairs + pairs.T)
     first = pairs.reshape(N, N, N, N).transpose(0, 2, 1, 3)
     return replace(curv, riemann=first - first.transpose(0, 1, 3, 2))
@@ -164,33 +171,39 @@ def _gram(guu, gvv, guv):
 
 
 def _sectional(curv: CurvatureAtPoint, u: np.ndarray, v: np.ndarray):
-    """Sectional curvature of span{u, v} from the Christoffel symbols alone.
+    """Sectional curvature of span{u, v} from the whitened Christoffel symbols.
 
-    The Hessian-metric identity of :func:`riemann_at` contracted with the
-    plane gives, with ``Gamma(x, y)_i = Gamma_{ijk} x^j y^k`` and
-    ``Gamma2(x, y) = g^-1 Gamma(x, y)``,
+    The identity of :func:`riemann_at` contracted with the plane gives, with
+    ``Gt(x, y)_p = Gt_{pjk} x^j y^k``,
 
-        K * gram = Gamma(u, v) . Gamma2(u, v) - Gamma(u, u) . Gamma2(v, v)
+        K * gram = sum_p s_p (Gt(u, v)_p^2 - Gt(u, u)_p Gt(v, v)_p)
 
     in ``O(N^3)``; ``curv.riemann`` is never read.  ``u`` and ``v`` are one
     plane ``(N,)``, giving a float, or a stack of planes ``(B, N)``, giving an
-    array of ``B`` values.  The scanner evaluates its planes here; the public
-    :func:`sectional` contracts ``R`` instead, so the two routes check each
-    other.
+    array of ``B`` values.
     """
     N = u.shape[-1]
     pair = np.array([u, v]).swapaxes(0, -2)
-    # Rows u(x)u, u(x)v, v(x)u, v(x)v of the flattened outer products, per plane.
+    # Rows u(x)u, u(x)v, v(x)v of the flattened outer products, per plane.
     # The plane axes come last, so each row of a stack goes through the same
     # products as a single plane and gives the same bits.
-    outer = (pair[..., :, None, :, None] * pair[..., None, :, None, :]).reshape(*pair.shape[:-2], 4, N * N)
+    outer = (pair[..., [0, 0, 1], :, None] * pair[..., [0, 1, 1], None, :]).reshape(*pair.shape[:-2], 3, N * N)
     gp = outer @ curv.metric.g.reshape(N * N)
-    gram = _gram(gp[..., 0], gp[..., 3], gp[..., 1])
-    first = outer[..., :2, :] @ curv.gamma_first.reshape(N, N * N).T  # Gamma(u, u), Gamma(u, v)
-    second = outer[..., 1::2, :] @ curv.gamma_second.reshape(N, N * N).T  # Gamma2(u, v), Gamma2(v, v)
-    terms = (first * second[..., ::-1, :]).sum(axis=-1)
-    k = (terms[..., 1] - terms[..., 0]) / gram
+    gram = _gram(gp[..., 0], gp[..., 2], gp[..., 1])
+    white = outer @ curv.gamma_white.reshape(N, N * N).T  # Gt(u, u), Gt(u, v), Gt(v, v)
+    terms = (white[..., 1, :] ** 2 - white[..., 0, :] * white[..., 2, :]) * np.sign(curv.eigvals)
+    k = terms.sum(axis=-1) / gram
     return float(k) if k.ndim == 0 else k
+
+
+def _fixed_quadric(curv: CurvatureAtPoint, f: np.ndarray) -> np.ndarray:
+    """``Q`` with ``R(y, f, f, z) = y^T Q z``, in ``O(N^3)``: by the identity of
+    :func:`riemann_at`, ``Q = A^T S A - sum_p s_p Gt(f, f)_p Gt_p`` with
+    ``A = Gt(., f)`` and ``S = diag(s)``."""
+    N = f.shape[0]
+    signs = np.sign(curv.eigvals)
+    along = (curv.gamma_white.reshape(N * N, N) @ f).reshape(N, N)  # A[p, y] = Gt(y, f)_p
+    return (along.T * signs) @ along - ((signs * (along @ f)) @ curv.gamma_white.reshape(N, N * N)).reshape(N, N)
 
 
 def sectional(c: IntersectionTensor, point, u, v) -> float:
@@ -247,7 +260,8 @@ def fd_curvature_oracle(c: IntersectionTensor, point, step: float) -> CurvatureA
         - np.einsum("ijk->ijk", dg)
         + np.einsum("kij->ijk", dg)
     )
-    g_inv, lam, vecs, cond = _metric_inverse(g0)
+    curv = _connection(data, gamma1)
+    g_inv = np.linalg.inv(g0)
     gamma2 = np.einsum("lm,mjk->ljk", g_inv, gamma1)
 
     # d_i Gamma_{mjk} from second differences of the metric.
@@ -267,14 +281,4 @@ def fd_curvature_oracle(c: IntersectionTensor, point, step: float) -> CurvatureA
         + np.einsum("lim,mjk->lijk", gamma2, gamma2)
         - np.einsum("ljm,mik->lijk", gamma2, gamma2)
     )
-    riem = np.einsum("bm,mkla->abkl", g0, r_up)
-    return CurvatureAtPoint(
-        gamma_first=gamma1,
-        gamma_second=gamma2,
-        riemann=riem,
-        base=t,
-        metric=data,
-        eigvals=lam,
-        eigvecs=vecs,
-        cond=cond,
-    )
+    return replace(curv, riemann=np.einsum("bm,mkla->abkl", g0, r_up))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NotPositiveDefinite, VolumeNotPositive
 from .metric import _hessian_metric, _metric_jet, metric_at
-from .tensors import IntersectionTensor, _coords, _jet, _tangent, as_point
+from .tensors import IntersectionTensor, _coords, _freeze, _jet, _tangent, as_point
 
 __all__ = [
     "GeodesicPath",
@@ -85,10 +85,7 @@ class GeodesicPath:
     status: str
 
     def __post_init__(self):
-        for name in ("s", "points", "velocities", "speeds"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _freeze(self, "s", "points", "velocities", "speeds")
 
     @property
     def endpoint(self) -> np.ndarray:

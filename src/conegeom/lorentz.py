@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, VolumeNotPositive, WrongSignature
 from .metric import _metric_jet, is_positive_definite, signature_counts
-from .tensors import IntersectionTensor, _coords, _jet
+from .tensors import IntersectionTensor, _coords, _freeze, _jet
 
 __all__ = [
     "LorentzModel",
@@ -47,10 +47,7 @@ class LorentzModel:
     gram: np.ndarray
 
     def __post_init__(self):
-        for name in ("B", "B_inv", "eta", "gram"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _freeze(self, "B", "B_inv", "eta", "gram")
 
     @property
     def dim(self) -> int:

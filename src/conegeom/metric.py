@@ -29,6 +29,7 @@ from .tensors import (
     TangentVector,
     _check_dim,
     _coords,
+    _freeze,
     _jet,
     _tangent,
     as_point,
@@ -72,10 +73,7 @@ class MetricAtPoint:
     point: np.ndarray
 
     def __post_init__(self):
-        for name in ("g", "grad_logvol", "point"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _freeze(self, "g", "grad_logvol", "point")
 
     def norm_sq(self, u) -> float:
         u = _tangent(self.g.shape[0], u)

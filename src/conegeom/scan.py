@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoValidPoints, NotPositiveDefinite, SingularMetric, VolumeNotPositive
-from .curvature import _sectional, christoffel_at
+from .curvature import _fixed_quadric, _sectional, _whitening, christoffel_at
 from .metric import _hessian_metric, _sign_counts, is_positive_definite, signature_counts
 from .tensors import IntersectionTensor, _coords, _jet
 
@@ -178,33 +178,17 @@ class ScanReport:
         return out
 
 
-def _whitening(curv):
-    """``W = V lambda^-1/2`` and ``W^-1`` for ``g = V diag(lambda) V^T``, so that ``W^T g W = I``."""
-    root = np.sqrt(curv.eigvals)
-    return curv.eigvecs / root, root[:, None] * curv.eigvecs.T
-
-
-def _fixed_quadric(curv, f):
-    """``Q`` with ``R(y, f, f, z) = y^T Q z``, in ``O(N^3)`` from the Christoffel symbols:
-    ``Q = (Gamma f) (Gamma2 f) - Gamma(Gamma2(f, f))`` by the identity of
-    :func:`~conegeom.curvature.riemann_at`."""
-    N = f.shape[0]
-    second = (curv.gamma_second.reshape(N * N, N) @ f).reshape(N, N)
-    first = (curv.gamma_first.reshape(N * N, N) @ np.array([f, second @ f]).T).reshape(N, N, 2)
-    return first[..., 0] @ second - first[..., 1]
-
-
 def _best_partner(curv, f):
     """The g-unit vector ``x`` with ``g(x, f) = 0`` that maximizes ``K(x, f)``.
 
     For such ``x``, ``K(x, f) = x^T Q x / g(f, f)`` with ``Q`` the Jacobi
-    operator ``R(., f, f, .)`` from :func:`_fixed_quadric`, so ``x`` is its top
-    eigenvector on the g-complement of ``f``.  A complete QR of ``f`` in the
-    coordinates of :func:`_whitening` gives an orthonormal basis of its
-    complement there; mapped back by ``W``, that is a g-orthonormal basis
-    ``B`` of the g-complement of ``f``.
+    operator ``R(., f, f, .)`` from :func:`~conegeom.curvature._fixed_quadric`,
+    so ``x`` is its top eigenvector on the g-complement of ``f``.  A complete QR
+    of ``f`` in the coordinates of :func:`~conegeom.curvature._whitening` gives
+    an orthonormal basis of its complement there; mapped back by ``W``, that
+    is a g-orthonormal basis ``B`` of the g-complement of ``f``.
     """
-    white, unwhite = _whitening(curv)
+    white, unwhite = _whitening(curv.eigvals, curv.eigvecs)
     basis = white @ np.linalg.qr((unwhite @ f)[:, None], mode="complete")[0][:, 1:]
     q = _fixed_quadric(curv, f)
     return basis @ np.linalg.eigh(basis.T @ (0.5 * (q + q.T)) @ basis)[1][:, -1]
@@ -269,10 +253,10 @@ def scan_sectional(
     if c.N < 2:
         raise NoValidPoints("no tangent 2-planes exist in a one-dimensional cone")
     # Each plane is the g-Gram-Schmidt of two iid N(0, I) vectors: one QR per
-    # point, batched over its planes, in the coordinates of _whitening.
+    # point, batched over its planes, in the whitened coordinates of g.
     planes, k_values = [], []
     for pi, curv in enumerate(curvs):
-        white, unwhite = _whitening(curv)
+        white, unwhite = _whitening(curv.eigvals, curv.eigvecs)
         pairs = np.random.default_rng((seed, pi)).standard_normal((planes_per_point, 2, c.N))
         planes.append((white @ np.linalg.qr(unwhite @ pairs.swapaxes(1, 2))[0]).transpose(2, 0, 1))
         k_values.append(_sectional(curv, *planes[-1]))

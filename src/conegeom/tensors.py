@@ -46,6 +46,16 @@ def _finite_vector(x, what: str) -> np.ndarray:
     return a
 
 
+def _freeze(obj, *names):
+    # Store read-only float copies of the named array fields of a frozen
+    # dataclass (None stays None), so that a caller's own array stays writeable.
+    for name in names:
+        if getattr(obj, name) is not None:
+            a = np.array(getattr(obj, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(obj, name, a)
+
+
 @dataclass(frozen=True)
 class IntersectionTensor:
     """Fully symmetric degree-``n`` multilinear form on ``R^N``.
@@ -80,11 +90,7 @@ class IntersectionTensor:
             raise ValueError(f"dense array of {self.N**self.n:,} entries exceeds the limit of {MAX_DENSE_ENTRIES:,}")
         clean = {}
         for idx, val in self.entries.items():
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != self.n:
-                raise ValueError(f"index {idx} does not have length n = {self.n}")
-            if any(i < 0 or i >= self.N for i in idx):
-                raise ValueError(f"index {idx} out of range for N = {self.N}")
+            idx = self._index(idx)
             if list(idx) != sorted(idx):
                 raise ValueError(f"index {idx} is not sorted; entries must use canonical sorted indices")
             val = float(val)
@@ -105,9 +111,18 @@ class IntersectionTensor:
         dense.setflags(write=False)
         object.__setattr__(self, "dense", dense)
 
+    def _index(self, index) -> tuple[int, ...]:
+        # The index as a tuple of ints; ValueError unless it has length n and entries in range(N).
+        idx = tuple(int(i) for i in index)
+        if len(idx) != self.n:
+            raise ValueError(f"index {idx} does not have length n = {self.n}")
+        if any(i < 0 or i >= self.N for i in idx):
+            raise ValueError(f"index {idx} out of range for N = {self.N}")
+        return idx
+
     def value(self, index) -> float:
         """Component of the symmetric form at an arbitrary (unsorted) index."""
-        return self.entries.get(tuple(sorted(int(i) for i in index)), 0.0)
+        return self.entries.get(tuple(sorted(self._index(index))), 0.0)
 
     def max_abs_entry(self) -> float:
         return max(abs(v) for v in self.entries.values())

@@ -5,8 +5,10 @@ import pytest
 
 from conegeom import load_fixture
 from conegeom.curvature import (
-    _metric_inverse,
+    _fixed_quadric,
+    _metric_eigh,
     _sectional,
+    _whitening,
     christoffel_at,
     fd_curvature_oracle,
     riemann_at,
@@ -14,6 +16,7 @@ from conegeom.curvature import (
     sectional_from_curvature,
 )
 from conegeom.errors import DegeneratePlane, SingularMetric
+from conegeom.maass import det_form_tensor, matrix_to_params, params_to_matrix, sectional_curvature
 from conegeom.metric import is_positive_definite, metric_at
 from conegeom.tensors import IntersectionTensor, vol_derivatives, volume
 
@@ -126,21 +129,28 @@ def coordinate_riemann(c, t):
 
 class TestChristoffel:
     def test_one_modulus_closed_form(self):
-        # F = -3 log t: F''' = -6/t^3, so Gamma_first = -3 and Gamma^1_11 = -1
-        # at t = 1, matching the geodesic equation t'' = t'^2 / t of the log
-        # metric (unit-speed solution exp(s/sqrt(3))).
+        # F = -3 log t: F''' = -6/t^3 and g = 3/t^2, so at t = 1 Gamma_first = -3
+        # and the whitened Gt = Gamma_first / sqrt(g) = -sqrt(3), up to the sign
+        # of the eigenvector.  W Gt = g^-1 Gamma gives Gamma^1_11 = -1/t,
+        # matching the geodesic equation t'' = t'^2 / t of the log metric
+        # (unit-speed solution exp(s/sqrt(3))).
         curv = christoffel_at(CUBIC, [1.0])
         assert curv.gamma_first[0, 0, 0] == pytest.approx(-3.0, abs=1e-13)
-        assert curv.gamma_second[0, 0, 0] == pytest.approx(-1.0, abs=1e-13)
-        curv2 = christoffel_at(CUBIC, [2.0])
-        assert curv2.gamma_second[0, 0, 0] == pytest.approx(-0.5, abs=1e-13)
+        assert curv.gamma_white[0, 0, 0] * curv.eigvecs[0, 0] == pytest.approx(-np.sqrt(3.0), abs=1e-13)
+        for t in (1.0, 2.0):
+            curv = christoffel_at(CUBIC, [t])
+            white = _whitening(curv.eigvals, curv.eigvecs)[0]
+            assert white[0, 0] * curv.gamma_white[0, 0, 0] == pytest.approx(-1.0 / t, abs=1e-13)
 
     def test_lower_pair_symmetry(self):
         rng = np.random.default_rng(0)
         t = random_interior_point(RANK3, np.array([1.0, 1.0, 0.0]), rng)
         curv = christoffel_at(RANK3, t)
         assert np.allclose(curv.gamma_first, np.swapaxes(curv.gamma_first, 1, 2))
-        assert np.allclose(curv.gamma_second, np.swapaxes(curv.gamma_second, 1, 2))
+        assert np.allclose(curv.gamma_white, np.swapaxes(curv.gamma_white, 1, 2))
+        # Gt = W^T Gamma, and W^-1 undoes it.
+        unwhite = _whitening(curv.eigvals, curv.eigvecs)[1]
+        assert np.allclose(np.einsum("pi,pjk->ijk", unwhite, curv.gamma_white), curv.gamma_first)
 
     def test_matches_fd_koszul_on_surfaces(self):
         rng = np.random.default_rng(1)
@@ -167,7 +177,7 @@ class TestChristoffel:
         with pytest.raises(SingularMetric):
             christoffel_at(degenerate, [1.0, 0.0])
         with pytest.raises(SingularMetric):
-            _metric_inverse(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            _metric_eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestRiemann:
@@ -262,7 +272,6 @@ class TestRiemann:
         rng = np.random.default_rng(6)
         t = random_interior_point(RANK3, np.array([1.0, 1.0, 0.0]), rng)
         from conegeom.metric import primitive_decompose
-        from conegeom.scan import _fixed_quadric
 
         _, p1 = primitive_decompose(RANK3, t, rng.normal(size=3))
         _, p2 = primitive_decompose(RANK3, t, rng.normal(size=3))
@@ -338,13 +347,11 @@ class TestGammaForm:
                 u, v = rng.normal(size=(2, c.N))
                 gram = float(u @ g @ u) * float(v @ g @ v) - float(u @ g @ v) ** 2
 
-                def gam(arr, x, y):
-                    return float(np.linalg.norm(np.einsum("ijk,j,k->i", arr, x, y)))
+                def gam(x, y):
+                    return float(np.linalg.norm(np.einsum("ijk,j,k->i", curv.gamma_white, x, y)))
 
                 # Size of the two terms of K * gram, which cancel where K is small.
-                scale = gam(curv.gamma_first, u, v) * gam(curv.gamma_second, u, v) + gam(
-                    curv.gamma_first, u, u
-                ) * gam(curv.gamma_second, v, v)
+                scale = gam(u, v) ** 2 + gam(u, u) * gam(v, v)
                 diff = abs(_sectional(curv, u, v) - sectional_from_curvature(curv, u, v)) * gram
                 assert diff <= 1e-10 * scale
 
@@ -380,6 +387,37 @@ class TestGammaForm:
         with pytest.raises(DegeneratePlane):
             _sectional(curv, us, vs)
         assert _sectional(curv, us[0], vs[0]) == _sectional(curv, us[:1], vs[:1])[0]
+
+
+class TestExactTorus:
+    """Both sectional routes against the exact curvature of the determinant form."""
+
+    # Up to cond 1e6 the whitened pairing is good to 1e-9.  At cond 1e8 the
+    # floor is set by g and Gamma as the volume jet evaluates them near the
+    # boundary, not by the pairing: the worst error over 150 seeds of 100
+    # planes was 9.2e-9, while rounding the exact Gt to floats cost at most
+    # 1.3e-10 on the worst planes of three of those seeds.  The explicit
+    # inverse g^-1 gave errors up to 3.4e-4 at cond 1e8.
+    @pytest.mark.parametrize("eps, tol", [(1e-2, 1e-9), (1e-3, 1e-9), (1e-4, 1e-8)])
+    def test_sectional_exact_at_high_condition(self, eps, tol):
+        # At Omega = Q diag(1, eps) Q* the cone metric of det is the trace
+        # metric, with cond(g) about 1 / eps^2, and its K lies in [-1/2, 0] at
+        # every point, so an absolute tolerance fits every point.
+        rng = np.random.default_rng(42)
+        tensor = det_form_tensor()
+        for _ in range(5):
+            q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            point = matrix_to_params(q @ np.diag([1.0, eps]) @ q.conj().T)
+            omega = params_to_matrix(point)
+            curv = christoffel_at(tensor, point)
+            assert 0.1 / eps**2 <= curv.cond <= 10.0 / eps**2
+            for _ in range(20):
+                hu, hv = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+                hu, hv = hu + hu.conj().T, hv + hv.conj().T
+                exact = sectional_curvature(omega, hu, hv)
+                u, v = matrix_to_params(hu), matrix_to_params(hv)
+                assert abs(_sectional(curv, u, v) - exact) <= tol
+                assert abs(sectional(tensor, point, u, v) - exact) <= tol
 
 
 class TestFdOracle:

@@ -334,6 +334,14 @@ class TestCli:
         assert out1 == out2
         assert a.read_bytes() == b.read_bytes()
 
+    def test_flat_surface_scans_flat(self):
+        # blowup_p2 is a flat surface: every sampled K is zero up to rounding.
+        code, out, _ = run_cli("scan", "blowup_p2", "--point", "2,1")
+        assert code == 0
+        values = dict(line.split() for line in out.splitlines())
+        assert abs(float(values["k_min"])) <= 1e-11
+        assert abs(float(values["k_max"])) <= 1e-11
+
     def test_signature_and_verify_commands(self):
         code, out, _ = run_cli("signature", "blowup_p2", "--point", "2,1", "--samples", "20")
         assert code == 0

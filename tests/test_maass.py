@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from conegeom.curvature import CurvatureAtPoint
 from conegeom.errors import DegeneratePlane, NotPositiveDefinite
+from conegeom.geodesics import GeodesicPath
+from conegeom.lorentz import LorentzModel
+from conegeom.metric import MetricAtPoint
 from conegeom.maass import (
     HermitianPoint,
     MatrixTangent,
@@ -17,6 +21,37 @@ from conegeom.maass import (
     sectional_curvature,
     torus_consistency,
 )
+
+# Each class that stores arrays: a build from the caller's 2x2 array, and the stored copy.
+ARRAY_HOLDERS = {
+    HermitianPoint: (HermitianPoint, lambda obj: obj.omega),
+    MatrixTangent: (MatrixTangent, lambda obj: obj.a),
+    MetricAtPoint: (
+        lambda a: MetricAtPoint(g=a, vol=1.0, grad_logvol=np.zeros(2), point=np.ones(2)),
+        lambda obj: obj.g,
+    ),
+    CurvatureAtPoint: (
+        lambda a: CurvatureAtPoint(
+            gamma_first=np.zeros((2, 2, 2)),
+            gamma_white=np.zeros((2, 2, 2)),
+            riemann=None,
+            base=np.ones(2),
+            metric=None,
+            eigvals=np.ones(2),
+            eigvecs=a,
+            cond=1.0,
+        ),
+        lambda obj: obj.eigvecs,
+    ),
+    GeodesicPath: (
+        lambda a: GeodesicPath(s=np.arange(2.0), points=a, velocities=a, speeds=np.ones(2), status="completed"),
+        lambda obj: obj.points,
+    ),
+    LorentzModel: (
+        lambda a: LorentzModel(tensor=None, B=a, B_inv=np.eye(2), eta=np.array([1.0, -1.0]), gram=np.eye(2)),
+        lambda obj: obj.B,
+    ),
+}
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -63,14 +98,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             MatrixTangent(np.array([[0, 1], [0, 0]], dtype=complex), hermitian_flag=True)
 
-    @pytest.mark.parametrize("cls", [HermitianPoint, MatrixTangent])
+    @pytest.mark.parametrize("cls", list(ARRAY_HOLDERS))
     def test_caller_array_stays_writeable(self, cls):
-        # The stored matrix is read-only; the caller's complex array is not.
-        a = np.eye(2, dtype=complex)
-        obj = cls(a)
+        # The stored array is read-only; the caller's array is not.
+        build, stored_of = ARRAY_HOLDERS[cls]
+        a = np.eye(2, dtype=complex if cls in (HermitianPoint, MatrixTangent) else float)
+        stored = stored_of(build(a))
         assert a.flags.writeable
         a[0, 0] = 5.0
-        stored = obj.omega if cls is HermitianPoint else obj.a
         assert stored[0, 0] == 1.0 and not stored.flags.writeable
 
 

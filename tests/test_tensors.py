@@ -129,6 +129,13 @@ class TestConstruction:
         assert c.value((2, 0, 1)) == 2.5
         assert c.value((0, 0, 1)) == 0.0
 
+    def test_value_refuses_malformed_index(self):
+        c = IntersectionTensor(n=2, N=2, entries={(0, 0): 1.0})
+        with pytest.raises(ValueError, match="length"):
+            c.value((0,))
+        with pytest.raises(ValueError, match="out of range"):
+            c.value((0, 5))
+
 
 class TestContract:
     def test_blowup_mixed_plane_vanishes(self):
