@@ -1,11 +1,12 @@
 """Geodesics, path lengths and boundary-ray diagnostics for the cone metric.
 
 The geodesic equation ``t''^l + Gamma^l_{jk} t'^j t'^k = 0`` is integrated
-with an embedded Dormand-Prince 5(4) scheme.  Steps are rejected both on the
-embedded error estimate and on drift of the conserved speed ``g(t', t')``,
-because the curvature blows up near the volume-cone boundary and fixed steps
-fail there.  Piecewise-linear paths and boundary rays share one Gauss-Legendre
-line integral, and every length is compared against the lower bound
+with the 8th-order Dormand-Prince pair DOP853 and its combined 5th/3rd-order
+error estimate.  Steps are rejected both on the error estimate and on drift
+of the conserved speed ``g(t', t')``, because the curvature blows up near the
+volume-cone boundary and fixed steps fail there.  Piecewise-linear paths and
+boundary rays share one Gauss-Legendre line integral, and every length is
+compared against the lower bound
 
     L >= |log Vol(end) - log Vol(start)| / sqrt(n),
 
@@ -40,27 +41,48 @@ DEGENERACY_RATIO = 1e-3
 VOLUME_EXIT_FACTOR = 1e-12
 PANELS_PER_OCTAVE = 4
 
-# Dormand-Prince 5(4) tableau as one lower-triangular stage matrix; its last
-# row is the 5th-order solution, so stage 7 is evaluated at y5.
-_DP_A = np.array(
+# DOP853, the 12-stage 8th-order pair of E. Hairer, S. P. Norsett and
+# G. Wanner (Solving Ordinary Differential Equations I, 2nd ed., sec. II.10),
+# as in their code DOP853 and SciPy's dop853_coefficients.py, without the
+# dense-output stages.  Row i of _DOP_A builds stage i; _DOP_B is the 8th-order
+# solution, where the next step's first stage is evaluated.  _DOP_E5 and
+# _DOP_E3 weigh the 5th- and 3rd-order error estimates.
+_DOP_A = np.array(
     [
-        row + [0.0] * (7 - len(row))
+        row + [0.0] * (12 - len(row))
         for row in (
             [],
-            [1 / 5],
-            [3 / 40, 9 / 40],
-            [44 / 45, -56 / 15, 32 / 9],
-            [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-            [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-            [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+            [0.05260015195876773],
+            [0.0197250569845379, 0.0591751709536137],
+            [0.02958758547680685, 0.0, 0.08876275643042054],
+            [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+            [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+            [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+            [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+             0.008273789163814023],
+            [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+             20.154067550477894, -43.48988418106996],
+            [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+             15.279233632882423, -33.28821096898486, -0.020331201708508627],
+            [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+             -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196],
+            [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+             27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303, 0.6433927460157636],
         )
     ]
 )
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+_DOP_B = np.array(
+    [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+     0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259]
 )
-# Weights of the embedded error estimate y5 - y4.
-_DP_E = _DP_A[6] - _DP_B4
+_DOP_E5 = np.array(
+    [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+     -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294]
+)
+_DOP_E3 = np.array(
+    [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+     -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082]
+)
 
 
 @dataclass(frozen=True)
@@ -76,6 +98,11 @@ class GeodesicPath:
     rejection was a stage point with ``Vol <= VOLUME_EXIT_FACTOR * Vol(t0)``
     or a singular metric, ``"step_underflow"`` if it was the error estimate
     or the speed drift.
+
+    The samples are the accepted steps.  ``noether_residual`` is the largest
+    ``|g(t, t') - g(t0, t'0)|`` over them: ``g(t, t') = D_t' log Vol`` is
+    constant along a geodesic, so it checks the shot independently of the
+    speed drift.
     """
 
     s: np.ndarray
@@ -83,6 +110,7 @@ class GeodesicPath:
     velocities: np.ndarray
     speeds: np.ndarray
     status: str
+    noether_residual: float
 
     def __post_init__(self):
         _freeze(self, "s", "points", "velocities", "speeds")
@@ -111,15 +139,17 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     the requested arc length unless the volume-cone boundary or the
     degeneracy locus (``Vol > 0`` but ``lambda_min(g) -> 0``) intervenes.
 
-    Each accepted step takes the eigenvalues of the metric its last stage
-    built at the new point ``t``, and the run ends ``"metric_degenerate"`` at
-    the first point where ``lambda_min * |t|^2 <= DEGENERACY_RATIO * n``.
+    Each step evaluates twelve right-hand sides.  The last, at the new point
+    ``t``, is reused as the next step's first stage, and the step takes the
+    eigenvalues of the metric it built there; the run ends
+    ``"metric_degenerate"`` at the first point where
+    ``lambda_min * |t|^2 <= DEGENERACY_RATIO * n``.
     The test is scale-free: ``g`` is homogeneous of degree -2, and
     ``lambda_min / lambda_max`` alone can be tiny on a complete geodesic.
     Such an ending is evidence about this one geodesic, not a completeness
-    statement.  The embedded error test accepts a step whose normalized
-    estimate is at most ``max(0.1 * tol / arclength * h, ERROR_FLOOR)``, so
-    no step is asked for accuracy below rounding.
+    statement.  The error test accepts a step whose normalized estimate is
+    at most ``max(0.1 * tol / arclength * h, ERROR_FLOOR)``, so no step is
+    asked for accuracy below rounding.
 
     Parameters
     ----------
@@ -128,8 +158,8 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     u0 : initial direction with positive metric norm
     arclength : float, total arc length to cover, finite and positive
     tol : float
-        Bound on the speed drift ``|g(t', t') - 1|`` over the run, finite and
-        positive; steps violating a proportional share of it are rejected.
+        Bound on the speed drift ``|g(t', t') - 1|`` at every point of the run,
+        finite and positive; a step ending beyond it is rejected.
     """
     for name, value in (("arclength", arclength), ("tol", tol)):
         if not 0 < value < math.inf:
@@ -146,7 +176,8 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     exit_level = VOLUME_EXIT_FACTOR * vol0
 
     def rhs(state):
-        # Geodesic right-hand side and the metric: one volume jet, one solve.
+        # Geodesic right-hand side, the metric and the Noether quantity
+        # g(t, v) = V_1 v / Vol: one volume jet, one solve.
         vel = state[N:]
         vol, v1, v2, v3 = _jet(c, state[:N], 3)
         if vol <= exit_level:
@@ -164,10 +195,9 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
             acc = -np.linalg.solve(g, 0.5 * f3vv)
         except np.linalg.LinAlgError:
             raise _BoundaryHit from None
-        return np.concatenate([vel, acc]), g
+        return np.concatenate([vel, acc]), g, v1v / vol
 
-    # Local budgets: embedded error and per-step speed drift proportional to
-    # the step fraction of the run.
+    # The error budget per unit of arc length.
     err_tol_per_unit = 0.1 * tol / arclength
 
     s_val = 0.0
@@ -175,9 +205,10 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     samples = [(0.0, y.copy(), 1.0)]
     status = "completed"
     degenerate_level = DEGENERACY_RATIO * c.n
-    # Stage derivatives, one row each.  First same as last: stage 7 is
-    # evaluated at y5 and becomes the next step's stage 1.
-    K = np.empty((7, 2 * N))
+    noether_residual = 0.0
+    # Stage derivatives, one row each.  First same as last: the stage at the
+    # new point becomes the next step's stage 0.
+    K = np.empty((12, 2 * N))
     have_k0 = False
     boundary_reject = False
     while s_val < arclength:
@@ -187,42 +218,47 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
             break
         try:
             if not have_k0:
-                K[0] = rhs(y)[0]
+                K[0], _, noether0 = rhs(y)
                 have_k0 = True
-            for i in range(1, 7):
-                yi = y + h * (_DP_A[i, :i] @ K[:i])
-                K[i], g = rhs(yi)
+            for i in range(1, 12):
+                K[i] = rhs(y + h * (_DOP_A[i, :i] @ K[:i]))[0]
+            y_new = y + h * (_DOP_B @ K)
+            k_new, g, noether = rhs(y_new)
         except _BoundaryHit:
             boundary_reject = True
             h *= 0.5
             continue
-        y5 = yi
-        err = float(np.max(np.abs(h * (_DP_E @ K)))) / max(1.0, float(np.max(np.abs(y5))))
+        scale = max(1.0, float(np.max(np.abs(y_new))))
+        err5 = float(np.max(np.abs(_DOP_E5 @ K))) / scale
+        err3 = float(np.max(np.abs(_DOP_E3 @ K))) / scale
+        err = h * err5**2 / math.sqrt(err5**2 + 0.01 * err3**2) if err5 > 0 else 0.0
         err_tol = max(err_tol_per_unit * h, ERROR_FLOOR)
-        sp = float(y5[N:] @ g @ y5[N:])
-        drift = abs(sp - 1.0)
-        if err > err_tol or drift > max(tol, err_tol_per_unit * h * 10):
+        sp = float(y_new[N:] @ g @ y_new[N:])
+        if err > err_tol or abs(sp - 1.0) > tol:
             boundary_reject = False
             h *= 0.5
             continue
         s_val += h
-        y = y5
-        K[0] = K[6]
+        y = y_new
+        K[0] = k_new
         samples.append((s_val, y, sp))
+        noether_residual = max(noether_residual, abs(noether - noether0))
         boundary_reject = False
         if np.linalg.eigvalsh(g)[0] * float(y[:N] @ y[:N]) <= degenerate_level:
             status = "metric_degenerate"
             break
-        # Standard 5th-order step growth, capped.
+        # Step growth with DOP853's exponent 1/8, capped.
         if err > 0:
-            h *= min(4.0, max(0.2, 0.9 * (err_tol / err) ** 0.2))
+            h *= min(4.0, max(0.2, 0.9 * (err_tol / err) ** 0.125))
         else:
             h *= 4.0
     s_arr = np.array([s for s, _, _ in samples])
     pts = np.array([st[:N] for _, st, _ in samples])
     vels = np.array([st[N:] for _, st, _ in samples])
     speeds = np.array([sp for _, _, sp in samples])
-    return GeodesicPath(s=s_arr, points=pts, velocities=vels, speeds=speeds, status=status)
+    return GeodesicPath(
+        s=s_arr, points=pts, velocities=vels, speeds=speeds, status=status, noether_residual=noether_residual
+    )
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)

@@ -12,6 +12,7 @@ from conegeom.geodesics import (
     length_bound_check,
     path_length,
 )
+from conegeom.maass import det_form_tensor, matrix_to_params, params_to_matrix
 from conegeom.metric import metric_at
 from conegeom.tensors import IntersectionTensor
 
@@ -83,7 +84,7 @@ class TestGeodesicShoot:
         # On synthetic_n3_b this direction meets the degeneracy locus near
         # s = 0.4461, where Vol stays near 1.94 but lambda_min(g) -> 0.  Once
         # the error budget fell below rounding the shot used to take about
-        # 150,000 jets to reach step_underflow.
+        # 150,000 jets to reach step_underflow; DOP853 needs about 2,400.
         import conegeom.geodesics as geodesics
 
         calls = []
@@ -96,7 +97,7 @@ class TestGeodesicShoot:
         c = load_fixture("synthetic_n3_b").tensor
         path = geodesic_shoot(c, (1, 1, 1), (1, 0.3, -0.2), 2.0)
         assert path.status == "metric_degenerate"
-        assert len(calls) < 10_000
+        assert len(calls) < 4_000
         scaled, ratio, drift = metric_profile(c, path)
         # The stop criterion holds at the last point and nowhere before it.
         assert np.flatnonzero(scaled <= DEGENERACY_RATIO * c.n).tolist() == [len(path.s) - 1]
@@ -131,8 +132,9 @@ class TestGeodesicShoot:
             geodesic_shoot(BLOWUP, [2.0, 1.0], [1.0, 0.3], 1.0, tol=bad)
 
     def test_first_same_as_last_stage_reuse(self, monkeypatch):
-        # Stage 7 of an accepted step is the next step's stage 1, and its
-        # metric serves the speed check: six jets per step, plus the first.
+        # The stage at the new point of an accepted step is the next step's
+        # first stage, and its metric serves the speed check: twelve jets per
+        # step, plus the first.
         import conegeom.geodesics as geodesics
 
         calls = {"_jet": 0, "_metric_jet": 0}
@@ -147,7 +149,63 @@ class TestGeodesicShoot:
         (t0,) = tf.metadata["kahler_points"]
         path = geodesic_shoot(tf.tensor, t0, (1, 0.3), 1.0)
         assert path.status == "completed"
-        assert calls == {"_jet": 6 * (len(path.s) - 1) + 1, "_metric_jet": 0}
+        assert calls == {"_jet": 12 * (len(path.s) - 1) + 1, "_metric_jet": 0}
+
+    def test_tableau_quadrature_conditions(self):
+        # An 8th-order pair integrates t^k exactly for k < 8 at the nodes
+        # c_i = sum_j a_ij; both error weights annihilate constants.
+        from conegeom.geodesics import _DOP_A, _DOP_B, _DOP_E3, _DOP_E5
+
+        nodes = _DOP_A.sum(axis=1)
+        for k in range(8):
+            assert _DOP_B @ nodes**k == pytest.approx(1 / (k + 1), abs=1e-14)
+        assert abs(_DOP_E5.sum()) < 1e-14
+        assert abs(_DOP_E3.sum()) < 1e-14
+
+    @pytest.mark.parametrize(
+        "name, u0",
+        [
+            ("torus_det", (0.3, -0.2, 0.5, 0.1)),
+            ("blowup_p2", (1.0, 0.3)),
+            ("synthetic_n3_a", (0.2, -0.5, 0.4)),
+            ("synthetic_n3_b", (1, 0.3, -0.2)),
+        ],
+    )
+    def test_noether_residual(self, name, u0):
+        # g(t, t') = D_t' log Vol is constant along a geodesic; the path
+        # reports its largest change, and fresh metrics agree.  The shot on
+        # synthetic_n3_b is the one into the degeneracy locus.
+        tf = load_fixture(name)
+        (t0,) = tf.metadata["kahler_points"]
+        path = geodesic_shoot(tf.tensor, t0, u0, 2.0)
+        assert path.status == ("metric_degenerate" if name == "synthetic_n3_b" else "completed")
+        assert path.noether_residual <= 1e-12
+        slopes = [float(metric_at(tf.tensor, t).grad_logvol @ v) for t, v in zip(path.points, path.velocities)]
+        assert max(abs(q - slopes[0]) for q in slopes) <= 1e-12
+
+    def test_torus_endpoints_match_closed_form(self):
+        # On the 2x2 determinant form the cone metric is the trace metric, whose
+        # unit-speed geodesics are Omega^1/2 exp(s X) Omega^1/2 with
+        # X = Omega^-1/2 U Omega^-1/2.
+        c = det_form_tensor()
+        rng = np.random.default_rng(0)
+        shots = 0
+        while shots < 10:
+            raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            omega = raw @ raw.conj().T
+            lam, vecs = np.linalg.eigh(omega)
+            if lam[0] <= 0.05:
+                continue
+            shots += 1
+            path = geodesic_shoot(c, matrix_to_params(omega), rng.normal(size=4), 1.5)
+            assert path.status == "completed"
+            root = (vecs * np.sqrt(lam)) @ vecs.conj().T
+            inv_root = (vecs / np.sqrt(lam)) @ vecs.conj().T
+            x = inv_root @ params_to_matrix(path.velocities[0]) @ inv_root
+            mu, w = np.linalg.eigh(x)
+            want = root @ ((w * np.exp(path.arclength * mu)) @ w.conj().T) @ root
+            got = params_to_matrix(path.endpoint)
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 class TestPathLength:

@@ -44,7 +44,9 @@ ARRAY_HOLDERS = {
         lambda obj: obj.eigvecs,
     ),
     GeodesicPath: (
-        lambda a: GeodesicPath(s=np.arange(2.0), points=a, velocities=a, speeds=np.ones(2), status="completed"),
+        lambda a: GeodesicPath(
+            s=np.arange(2.0), points=a, velocities=a, speeds=np.ones(2), status="completed", noether_residual=0.0
+        ),
         lambda obj: obj.points,
     ),
     LorentzModel: (
