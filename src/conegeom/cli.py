@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import geodesics, io, lorentz, maass, metric, scan
-from .curvature import riemann_at, sectional_from_curvature
+from .curvature import riemann_at, sectional
 from .errors import ConeGeometryError, TensorFormatError, VolumeNotPositive
 from .tensors import volume
 
@@ -63,10 +63,6 @@ def _load(args):
     return io.read_tensor_file(io.resolve_tensor_path(args.tensor))
 
 
-def _nested(a):
-    return [float(x) for x in a] if np.ndim(a) == 1 else [_nested(row) for row in a]
-
-
 def cmd_vol(args):
     tf = _load(args)
     v = volume(tf.tensor, args.point)
@@ -99,7 +95,7 @@ def cmd_curvature(args):
         "condition": curv.cond,
         "max_symmetry_residual": sym,
         "max_bianchi_residual": bianchi,
-        "riemann": _nested(r),
+        "riemann": r.tolist(),
     }
     text = json.dumps(doc, sort_keys=True, indent=1)
     print(text)
@@ -113,8 +109,6 @@ def cmd_sectional(args):
     if len(args.vector or []) != 2:
         print("usage error: sectional requires exactly two --vector options", file=sys.stderr)
         return 2
-    from .curvature import sectional
-
     print(_fmt(sectional(tf.tensor, args.point, args.vector[0], args.vector[1])))
     return 0
 
@@ -173,54 +167,15 @@ def cmd_lorentz_verify(args):
 
 
 def cmd_maass_verify(args):
-    rng = np.random.default_rng(args.seed)
-    worst_pair = 0.0
-    worst_jacobi = 0.0
-    worst_adjoint = 0.0
-    max_k = -np.inf
-    for m in (2, 3):
-        for _ in range(args.samples):
-            raw = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-            om = maass.HermitianPoint(raw @ raw.conj().T + 0.2 * np.eye(m))
-
-            def herm():
-                x = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-                return 0.5 * (x + x.conj().T)
-
-            z, w, u, v = herm(), herm(), herm(), herm()
-            alg = maass.curvature_algebraic(om, z, w, u).a
-            orc = maass.curvature_oracle(om, z, w, u).a
-            worst_pair = max(worst_pair, float(np.max(np.abs(alg - orc))))
-            jac = (
-                maass.bracket(om, maass.bracket(om, z, w).a, u).a
-                + maass.bracket(om, maass.bracket(om, w, u).a, z).a
-                + maass.bracket(om, maass.bracket(om, u, z).a, w).a
-            )
-            worst_jacobi = max(worst_jacobi, float(np.max(np.abs(jac))))
-            lhs = maass.inner(om, maass.bracket(om, maass.bracket(om, z, w).a, u), v)
-            rhs = -maass.inner(om, maass.bracket(om, z, w), maass.bracket(om, u, v))
-            worst_adjoint = max(worst_adjoint, abs(lhs - rhs) / max(abs(rhs), 1.0))
-            max_k = max(max_k, maass.sectional_curvature(om, u, v))
-    torus = maass.torus_consistency(samples=args.samples, seed=args.seed)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    k_ref = maass.sectional_curvature(np.eye(2), sx, sz)
-    print(f"curvature_paths_max_diff {_fmt(worst_pair)}")
-    print(f"jacobi_max_residual {_fmt(worst_jacobi)}")
-    print(f"adjoint_max_residual {_fmt(worst_adjoint)}")
-    print(f"sectional_max {_fmt(max_k)}")
-    print(f"reference_plane_K {_fmt(k_ref)}")
-    print(f"torus_max_residual {_fmt(torus.max_residual)}")
-    ok = (
-        worst_pair < args.tol
-        and worst_jacobi < args.tol
-        and worst_adjoint < args.tol
-        and max_k <= 1e-10
-        and abs(k_ref + 0.5) < 1e-15
-        and torus.passed
-    )
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    rep = maass.verify_identities(samples=args.samples, seed=args.seed, tol=args.tol)
+    print(f"curvature_paths_max_diff {_fmt(rep.curvature_paths_max_diff)}")
+    print(f"jacobi_max_residual {_fmt(rep.jacobi_max_residual)}")
+    print(f"adjoint_max_residual {_fmt(rep.adjoint_max_residual)}")
+    print(f"sectional_max {_fmt(rep.sectional_max)}")
+    print(f"reference_plane_K {_fmt(rep.reference_plane_k)}")
+    print(f"torus_max_residual {_fmt(rep.torus.max_residual)}")
+    print("PASS" if rep.passed else "FAIL")
+    return 0 if rep.passed else 1
 
 
 def cmd_scan(args):

@@ -227,8 +227,8 @@ def fd_curvature_oracle(c: IntersectionTensor, point, step: float) -> CurvatureA
     t = pt.t
     N = c.N
     scale = 1.0 + float(np.max(np.abs(t)))
-    if step <= 0 or step < 1e-12 * scale:
-        raise ValueError(f"step {step!r} underflows at this point scale")
+    if not 1e-12 * scale <= step < np.inf:
+        raise ValueError(f"step {step!r} is not finite or underflows at this point scale")
 
     def gmat(x):
         return _metric_jet(c, x)[0]

@@ -139,11 +139,13 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     the requested arc length unless the volume-cone boundary or the
     degeneracy locus (``Vol > 0`` but ``lambda_min(g) -> 0``) intervenes.
 
-    Each step evaluates twelve right-hand sides.  The last, at the new point
-    ``t``, is reused as the next step's first stage, and the step takes the
-    eigenvalues of the metric it built there; the run ends
-    ``"metric_degenerate"`` at the first point where
-    ``lambda_min * |t|^2 <= DEGENERACY_RATIO * n``.
+    The first step is the starting-step estimate of Hairer, Norsett & Wanner
+    (Solving ODEs I, sec. II.4), with the error budget per unit of arc length
+    as tolerance; its Euler probe costs one right-hand side.  Each step
+    evaluates twelve right-hand sides.  The last, at the new point ``t``, is
+    reused as the next step's first stage, and the step takes the eigenvalues
+    of the metric it built there; the run ends ``"metric_degenerate"`` at the
+    first point where ``lambda_min * |t|^2 <= DEGENERACY_RATIO * n``.
     The test is scale-free: ``g`` is homogeneous of degree -2, and
     ``lambda_min / lambda_max`` alone can be tiny on a complete geodesic.
     Such an ending is evidence about this one geodesic, not a completeness
@@ -201,7 +203,7 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     err_tol_per_unit = 0.1 * tol / arclength
 
     s_val = 0.0
-    h = min(arclength, 1e-2)
+    h = arclength
     samples = [(0.0, y.copy(), 1.0)]
     status = "completed"
     degenerate_level = DEGENERACY_RATIO * c.n
@@ -219,6 +221,12 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
         try:
             if not have_k0:
                 K[0], _, noether0 = rhs(y)
+                # The starting step: h^8 0.01 max(|y'|, |y''|) = budget, at most 100 probes.
+                d1 = float(np.max(np.abs(K[0])))
+                h0 = 0.01 * float(np.max(np.abs(y))) / d1
+                d2 = float(np.max(np.abs(rhs(y + h0 * K[0])[0] - K[0]))) / h0
+                sc = err_tol_per_unit * max(1.0, float(np.max(np.abs(y))))
+                h = min(h, 100.0 * h0, (0.01 * sc / max(d1, d2)) ** 0.125)
                 have_k0 = True
             for i in range(1, 12):
                 K[i] = rhs(y + h * (_DOP_A[i, :i] @ K[:i]))[0]
@@ -238,7 +246,8 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
             boundary_reject = False
             h *= 0.5
             continue
-        s_val += h
+        # The last step lands on arclength exactly, whatever s_val + h rounds to.
+        s_val = arclength if h == arclength - s_val else s_val + h
         y = y_new
         K[0] = k_new
         samples.append((s_val, y, sp))

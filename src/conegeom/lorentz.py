@@ -57,9 +57,6 @@ class LorentzModel:
         s = np.asarray(s, dtype=float)
         return float(s[0] ** 2 - np.sum(s[1:] ** 2))
 
-    def to_reduced(self, t) -> np.ndarray:
-        return self.B_inv @ np.asarray(t, dtype=float)
-
     def to_original(self, s) -> np.ndarray:
         return self.B @ np.asarray(s, dtype=float)
 

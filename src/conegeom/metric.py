@@ -205,7 +205,8 @@ class PullbackReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.max_vol_residual, self.max_metric_residual) < self.tol
+        # Written so that a nan residual fails.
+        return self.max_vol_residual < self.tol and self.max_metric_residual < self.tol
 
 
 def pullback_check(
@@ -227,20 +228,22 @@ def pullback_check(
     cX, cY : IntersectionTensor
         Target and source tensors; ``A`` maps source coordinates (dim ``N_Y``)
         to target coordinates (dim ``N_X``).
-    A : ndarray of shape (N_X, N_Y)
-    p : float, positive
+    A : ndarray of shape (N_X, N_Y), finite
+    p : float, finite and positive
     points : iterable of source-cone points with ``Vol_Y > 0``
+    tol : float, finite and positive
     """
     A = np.asarray(A, dtype=float)
     if A.shape != (cX.N, cY.N):
         raise DimensionMismatch(f"map has shape {A.shape}, expected ({cX.N}, {cY.N})")
-    if p <= 0:
-        raise ValueError(f"degree factor p must be positive, got {p!r}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("map A has a non-finite entry")
+    for name, value in (("degree factor p", p), ("tol", tol)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if cX.n != cY.n:
         raise DimensionMismatch("tensors must have the same degree")
-    max_vol = 0.0
-    max_met = 0.0
-    count = 0
+    vol_res, met_res = [], []
     for point in points:
         ty = _coords(cY, point)
         tx = A @ ty
@@ -248,11 +251,12 @@ def pullback_check(
         if vol_y <= 0:
             raise VolumeNotPositive(f"sample point {ty.tolist()} has nonpositive volume")
         gx, (vol_x, _, _) = _metric_jet(cX, tx)
-        max_vol = max(max_vol, abs(vol_x - p * vol_y) / abs(p * vol_y))
+        vol_res.append(abs(vol_x - p * vol_y) / abs(p * vol_y))
         gy = _metric_jet(cY, ty)[0]
         resid = A.T @ gx @ A - gy
-        max_met = max(max_met, float(np.max(np.abs(resid)) / max(np.max(np.abs(gy)), 1e-300)))
-        count += 1
-    if count == 0:
+        met_res.append(np.max(np.abs(resid)) / max(np.max(np.abs(gy)), 1e-300))
+    if not vol_res:
         raise ValueError("pullback_check requires at least one sample point")
-    return PullbackReport(max_vol_residual=max_vol, max_metric_residual=max_met, tol=tol, n_points=count)
+    # np.max, unlike the builtin max, carries a nan residual into the report.
+    max_vol, max_met = float(np.max(vol_res)), float(np.max(met_res))
+    return PullbackReport(max_vol_residual=max_vol, max_metric_residual=max_met, tol=tol, n_points=len(vol_res))

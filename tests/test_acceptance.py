@@ -250,16 +250,16 @@ def test_criterion_5_matrix_model_exact_checks():
                 return 0.5 * (x + x.conj().T)
 
             z, w, u, v = herm(), herm(), herm(), herm()
-            alg = maass.curvature_algebraic(om, z, w, u).a
-            orc = maass.curvature_oracle(om, z, w, u).a
+            alg = maass.curvature_algebraic(om, z, w, u)
+            orc = maass.curvature_oracle(om, z, w, u)
             worst_paths = max(worst_paths, float(np.max(np.abs(alg - orc))))
-            lhs = maass.inner(om, maass.bracket(om, maass.bracket(om, z, w).a, u), v)
+            lhs = maass.inner(om, maass.bracket(om, maass.bracket(om, z, w), u), v)
             rhs = -maass.inner(om, maass.bracket(om, z, w), maass.bracket(om, u, v))
             worst_adjoint = max(worst_adjoint, abs(lhs - rhs) / max(abs(rhs), 1.0))
             jac = (
-                maass.bracket(om, maass.bracket(om, z, w).a, u).a
-                + maass.bracket(om, maass.bracket(om, w, u).a, z).a
-                + maass.bracket(om, maass.bracket(om, u, z).a, w).a
+                maass.bracket(om, maass.bracket(om, z, w), u)
+                + maass.bracket(om, maass.bracket(om, w, u), z)
+                + maass.bracket(om, maass.bracket(om, u, z), w)
             )
             worst_jacobi = max(worst_jacobi, float(np.max(np.abs(jac))))
             max_sectional = max(max_sectional, maass.sectional_curvature(om, u, v))

@@ -444,3 +444,9 @@ class TestFdOracle:
     def test_step_underflow(self):
         with pytest.raises(ValueError):
             fd_curvature_oracle(BLOWUP, [2.0, 1.0], 1e-15)
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_step_must_be_finite(self, step):
+        # Both used to return an all-nan Riemann array without an error.
+        with pytest.raises(ValueError, match="not finite"):
+            fd_curvature_oracle(BLOWUP, [2.0, 1.0], step)

@@ -134,7 +134,7 @@ class TestGeodesicShoot:
     def test_first_same_as_last_stage_reuse(self, monkeypatch):
         # The stage at the new point of an accepted step is the next step's
         # first stage, and its metric serves the speed check: twelve jets per
-        # step, plus the first.
+        # step, plus the first stage and the starting-step probe.
         import conegeom.geodesics as geodesics
 
         calls = {"_jet": 0, "_metric_jet": 0}
@@ -149,7 +149,33 @@ class TestGeodesicShoot:
         (t0,) = tf.metadata["kahler_points"]
         path = geodesic_shoot(tf.tensor, t0, (1, 0.3), 1.0)
         assert path.status == "completed"
-        assert calls == {"_jet": 12 * (len(path.s) - 1) + 1, "_metric_jet": 0}
+        assert calls == {"_jet": 12 * (len(path.s) - 1) + 2, "_metric_jet": 0}
+
+    @pytest.mark.parametrize(
+        "name, u0",
+        [("torus_det", (0.3, -0.2, 0.5, 0.1)), ("blowup_p2", (1.0, 0.3)), ("synthetic_n3_a", (0.2, -0.5, 0.4))],
+    )
+    def test_starting_step_estimate(self, name, u0):
+        # The first step comes from the starting-step estimate, not a fixed
+        # 1e-2 that the 4x growth cap needs three steps to leave.
+        tf = load_fixture(name)
+        path = geodesic_shoot(tf.tensor, tf.metadata["kahler_points"][0], u0, 2.0)
+        assert path.status == "completed"
+        assert path.s[1] > 0.02
+        assert len(path.s) - 1 <= 10
+
+    @pytest.mark.parametrize(
+        "name, u0, arclength",
+        [("blowup_p2", (1.0, 0.3), 0.11694380550462406), ("synthetic_n3_a", (0.2, -0.5, 0.4), 0.38905094236275733)],
+    )
+    def test_last_step_lands_on_arclength(self, name, u0, arclength):
+        # On these shots s + (arclength - s) rounds one ulp short of
+        # arclength, which left a remainder below STEP_FLOOR and ended the
+        # shot step_underflow.
+        tf = load_fixture(name)
+        path = geodesic_shoot(tf.tensor, tf.metadata["kahler_points"][0], u0, arclength)
+        assert path.status == "completed"
+        assert path.s[-1] == arclength
 
     def test_tableau_quadrature_conditions(self):
         # An 8th-order pair integrates t^k exactly for k < 8 at the nodes

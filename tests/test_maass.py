@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conegeom.curvature import CurvatureAtPoint
-from conegeom.errors import DegeneratePlane, NotPositiveDefinite
+from conegeom import maass
+from conegeom.errors import DegeneratePlane, DimensionMismatch, NotPositiveDefinite
 from conegeom.geodesics import GeodesicPath
 from conegeom.lorentz import LorentzModel
 from conegeom.metric import MetricAtPoint
 from conegeom.maass import (
     HermitianPoint,
-    MatrixTangent,
     bracket,
     connection,
     curvature_algebraic,
@@ -20,12 +20,12 @@ from conegeom.maass import (
     params_to_matrix,
     sectional_curvature,
     torus_consistency,
+    verify_identities,
 )
 
 # Each class that stores arrays: a build from the caller's 2x2 array, and the stored copy.
 ARRAY_HOLDERS = {
     HermitianPoint: (HermitianPoint, lambda obj: obj.omega),
-    MatrixTangent: (MatrixTangent, lambda obj: obj.a),
     MetricAtPoint: (
         lambda a: MetricAtPoint(g=a, vol=1.0, grad_logvol=np.zeros(2), point=np.ones(2)),
         lambda obj: obj.g,
@@ -94,21 +94,49 @@ class TestTypes:
         with pytest.raises(ValueError):
             HermitianPoint(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
 
-    def test_tangent_flag_detection(self):
-        assert MatrixTangent(SX).hermitian_flag
-        assert not MatrixTangent(np.array([[0, -2], [2, 0]], dtype=complex)).hermitian_flag
-        with pytest.raises(ValueError):
-            MatrixTangent(np.array([[0, 1], [0, 0]], dtype=complex), hermitian_flag=True)
-
     @pytest.mark.parametrize("cls", list(ARRAY_HOLDERS))
     def test_caller_array_stays_writeable(self, cls):
         # The stored array is read-only; the caller's array is not.
         build, stored_of = ARRAY_HOLDERS[cls]
-        a = np.eye(2, dtype=complex if cls in (HermitianPoint, MatrixTangent) else float)
+        a = np.eye(2, dtype=complex if cls is HermitianPoint else float)
         stored = stored_of(build(a))
         assert a.flags.writeable
         a[0, 0] = 5.0
         assert stored[0, 0] == 1.0 and not stored.flags.writeable
+
+
+# Every public function that takes tangent matrices, with its tangent count.
+TANGENT_FUNCTIONS = [
+    (inner, 2),
+    (bracket, 2),
+    (connection, 2),
+    (curvature_algebraic, 3),
+    (curvature_quadform, 4),
+    (curvature_oracle, 3),
+    (sectional_curvature, 2),
+]
+
+
+class TestInputCheck:
+    @pytest.mark.parametrize("func, count", TANGENT_FUNCTIONS, ids=lambda x: getattr(x, "__name__", ""))
+    def test_size_mismatch(self, func, count):
+        # A mismatched size used to escape from bracket and connection as
+        # numpy's matmul error.
+        for bad in (np.eye(3), np.ones(2), np.eye(2)[None]):
+            with pytest.raises(DimensionMismatch):
+                func(np.eye(2), *([SX] * (count - 1)), bad)
+
+    @pytest.mark.parametrize("func, count", TANGENT_FUNCTIONS, ids=lambda x: getattr(x, "__name__", ""))
+    def test_nonfinite_tangent(self, func, count):
+        # A nan tangent used to make inner return nan.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                func(np.eye(2), np.array([[1.0, bad], [bad, 1.0]]), *([SZ] * (count - 1)))
+
+    def test_results_are_plain_arrays(self):
+        for func, count in TANGENT_FUNCTIONS:
+            got = func(np.eye(2), *([SX, SZ, SX, SZ][:count]))
+            assert type(got) in (float, np.ndarray)
 
 
 class TestInner:
@@ -137,23 +165,23 @@ class TestBracket:
     def test_commuting_diagonals_vanish(self):
         z = np.diag([1.0, 2.0]).astype(complex)
         w = np.diag([-3.0, 5.0]).astype(complex)
-        assert np.all(bracket(np.eye(2), z, w).a == 0)
+        assert np.all(bracket(np.eye(2), z, w) == 0)
 
     def test_worked_2x2(self):
-        got = bracket(np.eye(2), SX, SZ).a
+        got = bracket(np.eye(2), SX, SZ)
         assert np.allclose(got, np.array([[0.0, -2.0], [2.0, 0.0]]))
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(2)
         om = random_pd(rng, 3)
         z, w = random_hermitian(rng, 3), random_hermitian(rng, 3)
-        assert np.allclose(bracket(om, z, w).a, -bracket(om, w, z).a)
+        assert np.allclose(bracket(om, z, w), -bracket(om, w, z))
 
     def test_anti_hermitian_on_hermitian_inputs(self):
         rng = np.random.default_rng(3)
         om = random_pd(rng, 3)
         z, w = random_hermitian(rng, 3), random_hermitian(rng, 3)
-        b = bracket(om, z, w).a
+        b = bracket(om, z, w)
         assert np.max(np.abs(b + b.conj().T)) < 1e-12 * max(1.0, np.max(np.abs(b)))
 
     def test_jacobi_identity(self):
@@ -163,29 +191,30 @@ class TestBracket:
             for _ in range(20):
                 z, w, u = (random_hermitian(rng, m) for _ in range(3))
                 total = (
-                    bracket(om, bracket(om, z, w).a, u).a
-                    + bracket(om, bracket(om, w, u).a, z).a
-                    + bracket(om, bracket(om, u, z).a, w).a
+                    bracket(om, bracket(om, z, w), u)
+                    + bracket(om, bracket(om, w, u), z)
+                    + bracket(om, bracket(om, u, z), w)
                 )
                 assert np.max(np.abs(total)) < 1e-12
 
 
 class TestConnection:
     def test_identity_example(self):
-        got = connection(np.eye(2), np.eye(2), np.eye(2)).a
+        got = connection(np.eye(2), np.eye(2), np.eye(2))
         assert np.allclose(got, -np.eye(2))
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(5)
         om = random_pd(rng, 3)
         z, u = random_hermitian(rng, 3), random_hermitian(rng, 3)
-        assert np.allclose(connection(om, z, u).a, connection(om, u, z).a)
+        assert np.allclose(connection(om, z, u), connection(om, u, z))
 
     def test_hermitian_output(self):
         rng = np.random.default_rng(6)
         om = random_pd(rng, 2)
         z, u = random_hermitian(rng, 2), random_hermitian(rng, 2)
-        assert MatrixTangent(connection(om, z, u).a).hermitian_flag
+        got = connection(om, z, u)
+        assert np.max(np.abs(got - got.conj().T)) < 1e-12 * max(1.0, np.max(np.abs(got)))
 
     def test_trace_weight_collapses(self):
         # The pairing of a tangent with the base point equals the plain trace
@@ -221,7 +250,7 @@ class TestCurvature:
         z = np.diag([1.0, 2.0]).astype(complex)
         w = np.diag([3.0, -1.0]).astype(complex)
         u = random_hermitian(np.random.default_rng(8), 2)
-        assert np.all(curvature_algebraic(np.eye(2), z, w, u).a == 0)
+        assert np.all(curvature_algebraic(np.eye(2), z, w, u) == 0)
 
     def test_worked_sectional_value(self):
         assert sectional_curvature(np.eye(2), SX, SZ) == pytest.approx(-0.5, abs=1e-15)
@@ -232,18 +261,18 @@ class TestCurvature:
             for _ in range(50):
                 om = random_pd(rng, m)
                 z, w, u = (random_hermitian(rng, m) for _ in range(3))
-                alg = curvature_algebraic(om, z, w, u).a
-                orc = curvature_oracle(om, z, w, u).a
+                alg = curvature_algebraic(om, z, w, u)
+                orc = curvature_oracle(om, z, w, u)
                 assert np.max(np.abs(alg - orc)) < 1e-12
 
     def test_oracle_antisymmetric_and_scalar_flat(self):
         rng = np.random.default_rng(10)
         om = random_pd(rng, 3)
         z, w, u = (random_hermitian(rng, 3) for _ in range(3))
-        assert np.allclose(curvature_oracle(om, z, w, u).a, -curvature_oracle(om, w, z, u).a)
+        assert np.allclose(curvature_oracle(om, z, w, u), -curvature_oracle(om, w, z, u))
         om1 = np.array([[2.3 + 0j]])
         z1, w1, u1 = (np.array([[x + 0j]]) for x in (1.0, -0.7, 0.4))
-        assert np.max(np.abs(curvature_oracle(om1, z1, w1, u1).a)) < 1e-15
+        assert np.max(np.abs(curvature_oracle(om1, z1, w1, u1))) < 1e-15
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(11)
@@ -251,7 +280,7 @@ class TestCurvature:
             om = random_pd(rng, m)
             for _ in range(20):
                 z, w, u, v = (random_hermitian(rng, m) for _ in range(4))
-                lhs = inner(om, bracket(om, bracket(om, z, w).a, u), v)
+                lhs = inner(om, bracket(om, bracket(om, z, w), u), v)
                 rhs = -inner(om, bracket(om, z, w), bracket(om, u, v))
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -271,7 +300,7 @@ class TestCurvature:
                 u, v = random_hermitian(rng, m), random_hermitian(rng, m)
                 k = sectional_curvature(om, u, v)
                 assert k <= 0.0
-                if np.max(np.abs(bracket(om, u, v).a)) > 1e-10:
+                if np.max(np.abs(bracket(om, u, v))) > 1e-10:
                     assert k < 0
 
     def test_degenerate_plane_rejected(self):
@@ -318,3 +347,37 @@ class TestTorusConsistency:
         # An infinite tolerance would pass whatever the residual.
         with pytest.raises(ValueError, match="tol"):
             torus_consistency(samples=3, tol=tol)
+
+
+class TestVerifyIdentities:
+    def test_report(self):
+        rep = verify_identities(samples=20, seed=3)
+        assert rep.passed
+        assert max(rep.curvature_paths_max_diff, rep.jacobi_max_residual, rep.adjoint_max_residual) < 1e-12
+        assert rep.sectional_max < 0
+        assert rep.reference_plane_k == -0.5
+        assert rep.torus == torus_consistency(samples=20, seed=3)
+
+    def test_tolerance_sets_the_verdict(self):
+        rep = verify_identities(samples=5, seed=0, tol=1e-30)
+        assert not rep.passed and rep.torus.passed
+
+    def test_hermiticity_tested_once_per_base_point(self, monkeypatch):
+        # One test per HermitianPoint: one per sample and size in the battery,
+        # one per torus sample and one for the reference plane, and none on a
+        # computed bracket or curvature.
+        calls = []
+
+        def counted(a, original=maass._is_hermitian):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(maass, "_is_hermitian", counted)
+        samples = 7
+        assert verify_identities(samples=samples, seed=1).passed
+        assert sorted(calls) == sorted([(2, 2)] * (2 * samples + 1) + [(3, 3)] * samples)
+
+    @pytest.mark.parametrize("samples, tol", [(0, 1e-12), (3, np.inf), (3, np.nan), (3, 0.0)])
+    def test_rejects_no_samples_or_bad_tolerance(self, samples, tol):
+        with pytest.raises(ValueError, match="samples" if samples < 1 else "tol"):
+            verify_identities(samples=samples, tol=tol)

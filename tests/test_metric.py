@@ -248,3 +248,32 @@ class TestPullbackCheck:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             pullback_check(BLOWUP, BLOWUP, np.eye(3), 1.0, [np.array([2.0, 1.0])])
+
+    @pytest.mark.parametrize(
+        "A, p, tol, match",
+        [
+            (np.eye(3), math.nan, 1e-10, "degree factor p"),
+            (np.eye(3), math.inf, 1e-10, "degree factor p"),
+            (np.full((3, 3), math.nan), 1.0, 1e-10, "non-finite"),
+            (np.eye(3), 1.0, math.inf, "tol"),
+            (np.eye(3), 1.0, math.nan, "tol"),
+            (np.eye(3), 1.0, 0.0, "tol"),
+        ],
+    )
+    def test_rejects_nonfinite_map_factor_or_tol(self, A, p, tol, match):
+        # Each of these used to report residuals 0.0 (or an infinite tol) and
+        # pass on synthetic_n3_b, whatever the map.
+        from conegeom.io import load_fixture
+
+        c = load_fixture("synthetic_n3_b").tensor
+        with pytest.raises(ValueError, match=match):
+            pullback_check(c, c, A, p, [[1.0, 1.0, 1.0]], tol=tol)
+
+    def test_nonfinite_residual_fails(self):
+        # Vol overflows at t = 1e200, so both residuals are nan; the builtin
+        # max used to drop them and report 0.0.
+        c = IntersectionTensor(n=2, N=1, entries={(0, 0): 2.0})
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = pullback_check(c, c, np.array([[2.0]]), 4.0, [np.array([1e200])])
+        assert math.isnan(rep.max_vol_residual) and math.isnan(rep.max_metric_residual)
+        assert not rep.passed
