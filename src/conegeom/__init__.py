@@ -22,9 +22,7 @@ from .errors import (
     WrongSignature,
 )
 from .tensors import (
-    ConePoint,
     IntersectionTensor,
-    TangentVector,
     contract,
     vol_derivatives,
     volume,
@@ -88,9 +86,7 @@ __all__ = [
     "TensorFormatError",
     "VolumeNotPositive",
     "WrongSignature",
-    "ConePoint",
     "IntersectionTensor",
-    "TangentVector",
     "contract",
     "vol_derivatives",
     "volume",

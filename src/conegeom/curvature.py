@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegeneratePlane, SingularMetric
 from .metric import MetricAtPoint, _metric_at, _metric_jet
-from .tensors import IntersectionTensor, _freeze, _tangent, as_point
+from .tensors import IntersectionTensor, _freeze, _vector
 
 __all__ = [
     "CurvatureAtPoint",
@@ -57,22 +57,21 @@ class CurvatureAtPoint:
     which every curvature contraction reads (module docstring).  ``riemann``
     is the covariant array described there (``None`` when only the
     Christoffel part was requested).  ``eigvals`` and ``eigvecs`` are the
-    decomposition ``g = V diag(lambda) V^T`` of the metric at ``base`` that
-    gives ``W = V |lambda|^-1/2`` and ``s = sign(lambda)``, and ``cond`` is
-    its 2-norm condition number ``max |lambda| / min |lambda|``.
+    decomposition ``g = V diag(lambda) V^T`` of the metric at ``metric.point``
+    that gives ``W = V |lambda|^-1/2`` and ``s = sign(lambda)``, and ``cond``
+    is its 2-norm condition number ``max |lambda| / min |lambda|``.
     """
 
     gamma_first: np.ndarray
     gamma_white: np.ndarray
     riemann: np.ndarray | None
-    base: np.ndarray
     metric: MetricAtPoint
     eigvals: np.ndarray
     eigvecs: np.ndarray
     cond: float
 
     def __post_init__(self):
-        _freeze(self, "gamma_first", "gamma_white", "riemann", "base", "eigvals", "eigvecs")
+        _freeze(self, "gamma_first", "gamma_white", "riemann", "eigvals", "eigvecs")
 
 
 def _potential_third(vol, v1, v2, v3):
@@ -113,14 +112,14 @@ def _connection(data: MetricAtPoint, gamma: np.ndarray) -> CurvatureAtPoint:
     N = lam.shape[0]
     white = _whitening(lam, vecs)[0].T @ gamma.reshape(N, N * N)
     return CurvatureAtPoint(
-        gamma_first=gamma, gamma_white=white.reshape(N, N, N), riemann=None, base=data.point,
+        gamma_first=gamma, gamma_white=white.reshape(N, N, N), riemann=None,
         metric=data, eigvals=lam, eigvecs=vecs, cond=cond,
     )
 
 
 def christoffel_at(c: IntersectionTensor, point) -> CurvatureAtPoint:
     """Christoffel symbols of the cone metric (Riemann part left unset)."""
-    data, (vol, v1, v2, v3) = _metric_at(c, as_point(point), 3)
+    data, (vol, v1, v2, v3) = _metric_at(c, _vector(c.N, point, "base point"), 3)
     return _connection(data, 0.5 * _potential_third(vol, v1, v2, v3))
 
 
@@ -154,8 +153,8 @@ def sectional_from_curvature(curv: CurvatureAtPoint, u, v) -> float:
     """Sectional curvature of span{u, v} from precomputed curvature data."""
     if curv.riemann is None:
         raise ValueError("curvature data lacks the Riemann tensor")
-    N = curv.base.shape[0]
-    uvec, vvec = _tangent(N, u), _tangent(N, v)
+    N = curv.eigvals.shape[0]
+    uvec, vvec = _vector(N, u, "tangent vector"), _vector(N, v, "tangent vector")
     g = curv.metric.g
     gram = _gram(float(uvec @ g @ uvec), float(vvec @ g @ vvec), float(uvec @ g @ vvec))
     num = float(np.einsum("abkl,a,b,k,l->", curv.riemann, uvec, vvec, vvec, uvec))
@@ -223,8 +222,7 @@ def fd_curvature_oracle(c: IntersectionTensor, point, step: float) -> CurvatureA
     enter, combined through the Koszul formula and the coordinate expression
     for the curvature.  Intended for tests; accuracy is ``O(step^2)``.
     """
-    pt = as_point(point)
-    t = pt.t
+    t = _vector(c.N, point, "base point")
     N = c.N
     scale = 1.0 + float(np.max(np.abs(t)))
     if not 1e-12 * scale <= step < np.inf:
@@ -233,7 +231,7 @@ def fd_curvature_oracle(c: IntersectionTensor, point, step: float) -> CurvatureA
     def gmat(x):
         return _metric_jet(c, x)[0]
 
-    data = _metric_at(c, pt)[0]
+    data = _metric_at(c, t)[0]
     g0 = data.g
     h = float(step)
     eye = np.eye(N)

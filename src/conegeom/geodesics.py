@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite, VolumeNotPositive
-from .metric import _hessian_metric, _metric_jet, metric_at
-from .tensors import IntersectionTensor, _coords, _freeze, _jet, _tangent, as_point
+from .metric import _hessian_metric, _metric_jet
+from .tensors import IntersectionTensor, _freeze, _jet, _vector
 
 __all__ = [
     "GeodesicPath",
@@ -166,14 +166,13 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     for name, value in (("arclength", arclength), ("tol", tol)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    pt = as_point(t0)
-    u = _tangent(c.N, u0)
-    data = metric_at(c, pt)
-    vol0 = data.vol
-    speed2 = float(u @ data.g @ u)
+    t = _vector(c.N, t0, "base point")
+    u = _vector(c.N, u0, "tangent vector")
+    g, (vol0, _, _) = _metric_jet(c, t)
+    speed2 = float(u @ g @ u)
     if speed2 <= 0:
         raise ValueError("initial direction has nonpositive metric norm")
-    y = np.concatenate([pt.t, u / math.sqrt(speed2)])
+    y = np.concatenate([t, u / math.sqrt(speed2)])
     N = c.N
     exit_level = VOLUME_EXIT_FACTOR * vol0
 
@@ -289,20 +288,12 @@ def _line_length(c, a, w, edges):
     return total
 
 
-def path_length(c: IntersectionTensor, points) -> float:
-    """Length of a piecewise-linear path through the given points.
-
-    Each segment is one panel of the 8-point Gauss-Legendre rule for
-    ``sqrt(g(delta, delta))`` that ray studies use too.  Every supplied point
-    must have positive volume; quadrature nodes outside the volume cone raise
-    as well, and a node where ``g(delta, delta) < 0`` raises
-    :class:`NotPositiveDefinite`.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 1 or pts.shape[1] != c.N:
-        raise ValueError(f"expected a list of points of dimension {c.N}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("path points must be finite")
+def _path_length(c: IntersectionTensor, points):
+    # The checked (k, N) array of path points and the length of the path through them.
+    pts = np.atleast_2d(np.asarray(points))
+    if pts.ndim != 2 or pts.size == 0:
+        raise ValueError(f"expected a (k, {c.N}) array of path points, got shape {pts.shape}")
+    pts = np.array([_vector(c.N, p, "path point") for p in pts])
     for p in pts:
         if _jet(c, p, 0)[0] <= 0:
             raise VolumeNotPositive(f"path sample {p.tolist()} has nonpositive volume")
@@ -311,7 +302,19 @@ def path_length(c: IntersectionTensor, points) -> float:
         if np.array_equal(a, b):
             continue
         total += _line_length(c, a, b - a, (0.0, 1.0))
-    return float(total)
+    return pts, float(total)
+
+
+def path_length(c: IntersectionTensor, points) -> float:
+    """Length of a piecewise-linear path through the rows of a ``(k, N)`` array.
+
+    Each segment is one panel of the 8-point Gauss-Legendre rule for
+    ``sqrt(g(delta, delta))`` that ray studies use too.  Every supplied point
+    must have positive volume; quadrature nodes outside the volume cone raise
+    as well, and a node where ``g(delta, delta) < 0`` raises
+    :class:`NotPositiveDefinite`.
+    """
+    return _path_length(c, points)[1]
 
 
 @dataclass(frozen=True)
@@ -329,8 +332,7 @@ def length_bound_check(c: IntersectionTensor, points, slack: float = 1e-9) -> Le
     up to a finite ``slack >= 0``."""
     if not 0 <= slack < math.inf:
         raise ValueError(f"slack must be finite and nonnegative, got {slack!r}")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    length = path_length(c, pts)
+    pts, length = _path_length(c, points)
     va = _jet(c, pts[0], 0)[0]
     vb = _jet(c, pts[-1], 0)[0]
     bound = abs(math.log(vb) - math.log(va)) / math.sqrt(c.n)
@@ -379,8 +381,8 @@ def boundary_ray_study(c: IntersectionTensor, alpha, omega, t_mins=None) -> RayS
     A ray point where ``Vol <= 0`` or ``g(omega, omega) < 0`` raises
     :class:`VolumeNotPositive` or :class:`NotPositiveDefinite`.
     """
-    a = _coords(c, alpha)
-    w = _tangent(c.N, omega, "ray direction")
+    a = _vector(c.N, alpha, "base point")
+    w = _vector(c.N, omega, "ray direction")
     if t_mins is None:
         t_mins = [2.0**-k for k in range(1, 21)]
     t_mins = sorted((float(x) for x in t_mins), reverse=True)

@@ -20,9 +20,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import NotPositiveDefinite, TensorFormatError, VolumeNotPositive
-from .metric import metric_at
-from .tensors import ConePoint, IntersectionTensor
+from .errors import ConeGeometryError, NotPositiveDefinite, TensorFormatError
+from .metric import is_positive_definite, metric_at
+from .tensors import IntersectionTensor
 
 __all__ = [
     "TensorFile",
@@ -88,10 +88,15 @@ def _parse_document(doc, source: str) -> TensorFile:
 
 
 def _validate_marked_points(tf: TensorFile, source: str):
-    for i, point in enumerate(tf.metadata.get("kahler_points", [])):
+    # Each listed point needs Vol > 0 and a positive-definite metric.
+    points = tf.metadata.get("kahler_points", [])
+    if not isinstance(points, list):
+        raise TensorFormatError(f"{source}: kahler_points must be a list of points")
+    for i, point in enumerate(points):
         try:
-            metric_at(tf.tensor, ConePoint(point, claimed_kahler=True))
-        except (VolumeNotPositive, NotPositiveDefinite, ValueError) as exc:
+            if not is_positive_definite(metric_at(tf.tensor, point).g):
+                raise NotPositiveDefinite("metric is not positive-definite at a point claimed to lie in the cone")
+        except (ConeGeometryError, ValueError) as exc:
             raise TensorFormatError(f"{source}: kahler_points[{i}] failed validation: {exc}") from None
 
 

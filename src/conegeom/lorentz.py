@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, VolumeNotPositive, WrongSignature
 from .metric import _metric_jet, is_positive_definite, signature_counts
-from .tensors import IntersectionTensor, _coords, _freeze, _jet
+from .tensors import IntersectionTensor, _freeze, _jet, _vector
 
 __all__ = [
     "LorentzModel",
@@ -83,7 +83,7 @@ def reduce_to_standard(c: IntersectionTensor, omega0) -> LorentzModel:
         raise WrongSignature(
             f"Gram matrix has signature ({pos}, {neg}) with {null} null directions; expected (1, {c.N - 1})"
         )
-    w0 = _coords(c, omega0)
+    w0 = _vector(c.N, omega0, "base point")
     vol0 = _jet(c, w0, 0)[0]
     if vol0 <= 0:
         raise VolumeNotPositive(f"volume {vol0!r} of the reference class is not positive")

@@ -73,6 +73,8 @@ class HermitianPoint:
         m = np.array(self.omega, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("base point has a non-finite entry")
         if not _is_hermitian(m):
             raise ValueError("base point must be Hermitian")
         eig = np.linalg.eigvalsh(m)
@@ -185,6 +187,8 @@ def params_to_matrix(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (4,):
         raise DimensionMismatch(f"expected 4 real coordinates, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("coordinates have a non-finite entry")
     b = p[2] + 1j * p[3]
     return np.array([[p[0], b], [np.conj(b), p[1]]], dtype=complex)
 
@@ -194,6 +198,8 @@ def matrix_to_params(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise DimensionMismatch("parametrization is for 2x2 matrices")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has a non-finite entry")
     return np.array([m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag])
 
 

@@ -8,7 +8,8 @@ For a degree-``n`` volume polynomial ``Vol`` the potential is
 with ``P_k`` the tensor contractions from :mod:`conegeom.tensors`.  The
 module also provides the radial/primitive splitting of tangent vectors, the
 induced metric on volume level sets, and a sampling check that a linear map
-intertwining two volume polynomials is an isometry.
+intertwining two volume polynomials is an isometry.  Points and tangents go
+in and come out as plain arrays, checked once by :func:`conegeom.tensors._vector`.
 """
 
 from __future__ import annotations
@@ -17,23 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotPositiveDefinite,
-    NotPrimitive,
-    VolumeNotPositive,
-)
-from .tensors import (
-    ConePoint,
-    IntersectionTensor,
-    TangentVector,
-    _check_dim,
-    _coords,
-    _freeze,
-    _jet,
-    _tangent,
-    as_point,
-)
+from .errors import DimensionMismatch, NotPrimitive, VolumeNotPositive
+from .tensors import IntersectionTensor, _freeze, _jet, _vector
 
 __all__ = [
     "MetricAtPoint",
@@ -76,12 +62,12 @@ class MetricAtPoint:
         _freeze(self, "g", "grad_logvol", "point")
 
     def norm_sq(self, u) -> float:
-        u = _tangent(self.g.shape[0], u)
+        u = _vector(self.g.shape[0], u, "tangent vector")
         return float(u @ self.g @ u)
 
     def inner(self, u, v) -> float:
         N = self.g.shape[0]
-        return float(_tangent(N, u) @ self.g @ _tangent(N, v))
+        return float(_vector(N, u, "tangent vector") @ self.g @ _vector(N, v, "tangent vector"))
 
 
 def signature_counts(m) -> tuple[int, int, int]:
@@ -125,39 +111,30 @@ def _metric_jet(c: IntersectionTensor, t: np.ndarray, order: int = 2):
     return _hessian_metric(*jet[:3]), jet
 
 
-def _metric_at(c: IntersectionTensor, pt: ConePoint, order: int = 2):
-    """:func:`metric_at` for a validated point, with the jet it took."""
-    _check_dim(c.N, pt.t, "base point")
-    g, jet = _metric_jet(c, pt.t, order)
+def _metric_at(c: IntersectionTensor, t: np.ndarray, order: int = 2):
+    """:func:`metric_at` at coordinates already checked, with the jet it took."""
+    g, jet = _metric_jet(c, t, order)
     vol, v1 = jet[:2]
-    data = MetricAtPoint(g=g, vol=vol, grad_logvol=-v1 / vol, point=pt.t)
-    if pt.claimed_kahler and not is_positive_definite(g):
-        raise NotPositiveDefinite("metric is not positive-definite at a point claimed to lie in the cone")
-    return data, jet
+    return MetricAtPoint(g=g, vol=vol, grad_logvol=-v1 / vol, point=t), jet
 
 
 def metric_at(c: IntersectionTensor, point) -> MetricAtPoint:
     """Evaluate the Hessian metric ``-Hess log Vol`` at a point.
 
-    Raises
-    ------
-    VolumeNotPositive
-        If ``Vol(t) <= 0``.
-    NotPositiveDefinite
-        If the point is claimed to lie in the positivity cone but the metric
-        is not positive-definite (the claim is then untenable).
+    The metric need not be positive-definite there; :func:`is_positive_definite`
+    tells.  Raises :class:`VolumeNotPositive` if ``Vol(t) <= 0``.
     """
-    return _metric_at(c, as_point(point))[0]
+    return _metric_at(c, _vector(c.N, point, "base point"))[0]
 
 
 def primitive_decompose(c: IntersectionTensor, point, u):
     """Split ``u = u0 * t + u1`` with ``u1`` primitive at ``t``.
 
     ``u0 = P_1(u; t) / (n Vol(t))``, which makes ``P_1(u1; t) = 0``.  Returns
-    the pair ``(u0, u1)``.
+    the pair ``(u0, u1)`` of a float and an array.
     """
-    t = _coords(c, point)
-    uvec = _tangent(c.N, u)
+    t = _vector(c.N, point, "base point")
+    uvec = _vector(c.N, u, "tangent vector")
     vol, v1 = _jet(c, t, 1)
     if vol <= 0.0:
         raise VolumeNotPositive(f"volume {vol!r} is not positive")
@@ -167,7 +144,7 @@ def primitive_decompose(c: IntersectionTensor, point, u):
     # the primitive part stays primitive by the levelset tolerance.
     if np.linalg.norm(u1) <= 1e-14 * max(np.linalg.norm(uvec), abs(u0) * np.linalg.norm(t)):
         u1 = np.zeros_like(u1)
-    return u0, TangentVector(u1)
+    return u0, u1
 
 
 def _primitivity_bound(c: IntersectionTensor, t: np.ndarray, u: np.ndarray) -> float:
@@ -181,9 +158,9 @@ def levelset_metric(c: IntersectionTensor, point, u, v) -> float:
     Both arguments must be primitive at the base point; a vector whose radial
     pairing exceeds the documented tolerance raises :class:`NotPrimitive`.
     """
-    t = _coords(c, point)
-    uvec = _tangent(c.N, u)
-    vvec = _tangent(c.N, v)
+    t = _vector(c.N, point, "base point")
+    uvec = _vector(c.N, u, "tangent vector")
+    vvec = _vector(c.N, v, "tangent vector")
     vol, v1, v2 = _jet(c, t, 2)
     if vol <= 0.0:
         raise VolumeNotPositive(f"volume {vol!r} is not positive")
@@ -245,7 +222,7 @@ def pullback_check(
         raise DimensionMismatch("tensors must have the same degree")
     vol_res, met_res = [], []
     for point in points:
-        ty = _coords(cY, point)
+        ty = _vector(cY.N, point, "sample point")
         tx = A @ ty
         vol_y = _jet(cY, ty, 0)[0]
         if vol_y <= 0:

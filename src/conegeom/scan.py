@@ -31,7 +31,7 @@ import numpy as np
 from .errors import NoValidPoints, NotPositiveDefinite, SingularMetric, VolumeNotPositive
 from .curvature import _fixed_quadric, _sectional, _whitening, christoffel_at
 from .metric import _hessian_metric, _sign_counts, is_positive_definite, signature_counts
-from .tensors import IntersectionTensor, _coords, _jet
+from .tensors import IntersectionTensor, _jet, _vector
 
 __all__ = [
     "ScanReport",
@@ -81,7 +81,7 @@ def sample_cone_points(
         raise ValueError(f"count must be at least 1, got {count!r}")
     if not 0 < spread < np.inf:
         raise ValueError(f"spread must be finite and positive, got {spread!r}")
-    t0 = _coords(c, anchor)
+    t0 = _vector(c.N, anchor, "anchor point")
     if _jet(c, t0, 0)[0] <= 0:
         raise NoValidPoints("anchor point has nonpositive volume")
     scale = spread * float(np.linalg.norm(t0)) / np.sqrt(c.N)
@@ -264,7 +264,7 @@ def scan_sectional(
 
     def plane(i):
         pi, j = divmod(i, planes_per_point)
-        return curvs[pi].base, planes[pi][0][j], planes[pi][1][j]
+        return curvs[pi].metric.point, planes[pi][0][j], planes[pi][1][j]
 
     i_min, i_max = int(np.argmin(k_values)), int(np.argmax(k_values))
     k_min, k_max = float(k_values[i_min]), float(k_values[i_max])
@@ -281,7 +281,7 @@ def scan_sectional(
     return ScanReport(
         tensor=tensor_id(c),
         seed=seed,
-        points=[curv.base for curv in curvs],
+        points=[curv.metric.point for curv in curvs],
         k_samples=[(i, i // planes_per_point, k) for i, k in enumerate(k_values.tolist())],
         k_min=k_min,
         k_max=k_max,
@@ -302,7 +302,7 @@ def signature_profile(c: IntersectionTensor, points, seed: int = 0) -> ScanRepor
     """
     entries = []
     for p in points:
-        t = _coords(c, p)
+        t = _vector(c.N, p, "base point")
         jet = _jet(c, t, 2)
         if jet[0] > 0:
             entries.append((t, *signature_counts(_hessian_metric(*jet))))

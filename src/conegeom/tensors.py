@@ -11,6 +11,10 @@ the homogeneous volume polynomial
 metric built in :mod:`conegeom.metric`.  Every evaluation here contracts that
 array with vectors: the tensor against tangent vectors and base points, and
 the exact partial-derivative arrays of ``Vol`` up to order four.
+
+Points and tangent vectors are plain arrays.  Each public function in the
+package checks each one once, at entry, with :func:`_vector`, and passes the
+checked arrays inward; inner loops never check again.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from .errors import DimensionMismatch
 
 __all__ = [
     "IntersectionTensor",
-    "ConePoint",
-    "TangentVector",
     "contract",
     "volume",
     "vol_derivatives",
@@ -35,14 +37,26 @@ __all__ = [
 MAX_DENSE_ENTRIES = 10**7
 
 
-def _finite_vector(x, what: str) -> np.ndarray:
-    # The input check of ConePoint and TangentVector; returns a read-only copy.
-    a = np.array(np.atleast_1d(x), dtype=float)
-    if a.ndim != 1:
-        raise ValueError(f"{what} must be a vector")
+def _vector(N: int, x, what: str) -> np.ndarray:
+    """``x`` as a new finite real float array of shape ``(N,)``: the one input
+    check of every point and tangent vector at the public functions.
+
+    Raises ``ValueError`` unless ``x`` is a vector of real numbers, all finite
+    (a complex array is refused whatever its imaginary part), and
+    :class:`DimensionMismatch` unless its length is ``N``.  A scalar is a
+    vector of length one.
+    """
+    try:
+        a = np.atleast_1d(np.asarray(x))
+        a = None if a.dtype.kind == "c" else a.astype(float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.ndim != 1:
+        raise ValueError(f"{what} must be a vector of real numbers")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} must be finite")
-    a.setflags(write=False)
+    if a.shape != (N,):
+        raise DimensionMismatch(f"{what} has shape {a.shape}, expected ({N},)")
     return a
 
 
@@ -131,66 +145,6 @@ class IntersectionTensor:
         return hash((self.n, self.N, tuple(sorted(self.entries.items()))))
 
 
-@dataclass(frozen=True)
-class ConePoint:
-    """A point of the ambient coordinate space, with an optional caller
-    assertion that it lies in the geometric cone of interest.
-
-    The library cannot decide cone membership from the tensor alone; it only
-    verifies the necessary conditions it can check (positive volume, and a
-    positive-definite metric when ``claimed_kahler`` is set).
-    """
-
-    t: np.ndarray
-    claimed_kahler: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", _finite_vector(self.t, "cone point coordinates"))
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent direction in coordinates."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", _finite_vector(self.u, "tangent vector"))
-
-
-def as_point(p, claimed_kahler: bool = False) -> ConePoint:
-    """Coerce an array-like or ConePoint to a ConePoint."""
-    if isinstance(p, ConePoint):
-        return p
-    return ConePoint(np.asarray(p, dtype=float), claimed_kahler)
-
-
-def as_vector(v) -> TangentVector:
-    """Coerce an array-like or TangentVector to a TangentVector."""
-    if isinstance(v, TangentVector):
-        return v
-    return TangentVector(np.asarray(v, dtype=float))
-
-
-def _check_dim(N: int, x: np.ndarray, what: str):
-    if x.shape != (N,):
-        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({N},)")
-
-
-def _coords(c: IntersectionTensor, point) -> np.ndarray:
-    """Validated base-point coordinates, as the public functions take them."""
-    t = as_point(point).t
-    _check_dim(c.N, t, "base point")
-    return t
-
-
-def _tangent(N: int, u, what: str = "tangent vector") -> np.ndarray:
-    """Validated coordinates of a tangent vector in ``R^N``, as the public functions take them."""
-    uvec = as_vector(u).u
-    _check_dim(N, uvec, what)
-    return uvec
-
-
 def _jet(c: IntersectionTensor, t: np.ndarray, order: int):
     """``(Vol, V_1, ..., V_order)`` at coordinates ``t`` already checked.
 
@@ -227,8 +181,8 @@ def contract(c: IntersectionTensor, vs, point) -> float:
     -------
     float
     """
-    t = _coords(c, point)
-    vecs = [_tangent(c.N, v) for v in vs]
+    t = _vector(c.N, point, "base point")
+    vecs = [_vector(c.N, v, "tangent vector") for v in vs]
     k = len(vecs)
     if k > c.n:
         raise DimensionMismatch(f"cannot contract {k} vectors into a degree-{c.n} form")
@@ -240,7 +194,7 @@ def contract(c: IntersectionTensor, vs, point) -> float:
 
 def volume(c: IntersectionTensor, point) -> float:
     """Volume polynomial ``Vol(t) = c(t, ..., t) / n!``, homogeneous of degree n."""
-    return _jet(c, _coords(c, point), 0)[0]
+    return _jet(c, _vector(c.N, point, "base point"), 0)[0]
 
 
 def vol_derivatives(c: IntersectionTensor, point, order: int):
@@ -260,4 +214,4 @@ def vol_derivatives(c: IntersectionTensor, point, order: int):
     """
     if order not in (1, 2, 3, 4):
         raise ValueError(f"order must be in 1..4, got {order!r}")
-    return _jet(c, _coords(c, point), order)[1:]
+    return _jet(c, _vector(c.N, point, "base point"), order)[1:]

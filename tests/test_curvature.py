@@ -280,7 +280,7 @@ class TestRiemann:
         # log-homogeneity gives Gamma(t, x) = -g x, so R(x, t, t, x) = 0.
         n3b = load_fixture("synthetic_n3_b").tensor
         cases = [
-            (RANK3, t, p1.u + 0.3 * np.asarray(t)),
+            (RANK3, t, p1 + 0.3 * np.asarray(t)),
             (CURVED3, random_interior_point(CURVED3, np.ones(3), rng), rng.normal(size=3)),
             (DENSE6, random_interior_point(DENSE6, np.ones(6), rng), rng.normal(size=6)),
             (n3b, np.ones(3), rng.normal(size=3)),

@@ -20,6 +20,7 @@ from conftest import random_interior_point
 
 CUBIC = IntersectionTensor(n=3, N=1, entries={(0, 0, 0): 6.0})
 BLOWUP = IntersectionTensor(n=2, N=2, entries={(0, 0): 1.0, (1, 1): -1.0})
+BLOWUP_FILE = load_fixture("blowup_p2")
 
 
 def count_metric_jets(monkeypatch):
@@ -121,6 +122,9 @@ class TestGeodesicShoot:
             geodesic_shoot(BLOWUP, [1.0, 2.0], [1.0, 0.0], 1.0)
         with pytest.raises(ValueError):
             geodesic_shoot(CUBIC, [1.0], [1.0], -1.0)
+        # A complex direction used to be truncated to its real part.
+        with pytest.raises(ValueError, match="real numbers"):
+            geodesic_shoot(BLOWUP, [2.0, 1.0], np.array([1.0, 0.3 + 0.1j]), 1.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0])
     def test_rejects_nonfinite_or_nonpositive_arclength_and_tol(self, bad):
@@ -134,7 +138,8 @@ class TestGeodesicShoot:
     def test_first_same_as_last_stage_reuse(self, monkeypatch):
         # The stage at the new point of an accepted step is the next step's
         # first stage, and its metric serves the speed check: twelve jets per
-        # step, plus the first stage and the starting-step probe.
+        # step, plus the first stage and the starting-step probe, and one
+        # metric at the start point to normalize the direction.
         import conegeom.geodesics as geodesics
 
         calls = {"_jet": 0, "_metric_jet": 0}
@@ -149,7 +154,7 @@ class TestGeodesicShoot:
         (t0,) = tf.metadata["kahler_points"]
         path = geodesic_shoot(tf.tensor, t0, (1, 0.3), 1.0)
         assert path.status == "completed"
-        assert calls == {"_jet": 12 * (len(path.s) - 1) + 2, "_metric_jet": 0}
+        assert calls == {"_jet": 12 * (len(path.s) - 1) + 2, "_metric_jet": 1}
 
     @pytest.mark.parametrize(
         "name, u0",
@@ -295,6 +300,20 @@ class TestLengthBound:
         rep = length_bound_check(c, pts)
         assert rep.length == pytest.approx(rep.bound, abs=1e-8)
 
+    @pytest.mark.parametrize("check", [path_length, length_bound_check])
+    def test_points_must_be_a_2d_array(self, check):
+        # A 3-D array used to pass the shape test and fail inside the volume jet.
+        with pytest.raises(ValueError, match="array of path points"):
+            check(BLOWUP, np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="array of path points"):
+            check(BLOWUP, [])
+
+    @pytest.mark.parametrize("points", [np.array([[2.0, 1.0], [2.5 + 1j, 1.2]]), [[2.0, 1.0], [2.5 + 1j, 1.2]]])
+    def test_complex_points_rejected(self, points):
+        # A complex array used to be truncated to its real part.
+        with pytest.raises(ValueError, match="real numbers"):
+            path_length(BLOWUP, points)
+
     @pytest.mark.parametrize("slack", [math.inf, math.nan, -1e-9])
     def test_slack_must_be_finite_and_nonnegative(self, slack):
         # An infinite slack would pass whatever the length.
@@ -397,27 +416,37 @@ class TestValidateOnce:
 
     @pytest.fixture
     def validations(self, monkeypatch):
+        # Count calls of the one check in every module that binds it.
+        import sys
+
         from conegeom import tensors
 
+        check = tensors._vector
+        binders = {
+            name.rpartition(".")[2]: module
+            for name, module in list(sys.modules.items())
+            if name.startswith("conegeom.") and vars(module).get("_vector") is check
+        }
+        assert set(binders) >= {"tensors", "metric", "curvature", "geodesics", "scan", "lorentz"}
         calls = []
-        for cls in (tensors.ConePoint, tensors.TangentVector):
 
-            def counted(obj, post=cls.__post_init__):
-                calls.append(None)
-                post(obj)
+        def counted(*args):
+            calls.append(None)
+            return check(*args)
 
-            monkeypatch.setattr(cls, "__post_init__", counted)
+        for module in binders.values():
+            monkeypatch.setattr(module, "_vector", counted)
         return calls
 
     def test_boundary_ray_study(self, validations):
-        tf = load_fixture("blowup_p2")
+        tf = BLOWUP_FILE
         (alpha,) = tf.metadata["boundary_points"]
         (omega,) = tf.metadata["kahler_points"]
         boundary_ray_study(tf.tensor, alpha, omega)
-        assert len(validations) <= 4
+        assert len(validations) == 2
 
     def test_geodesic_shoot(self, validations):
-        tf = load_fixture("blowup_p2")
+        tf = BLOWUP_FILE
         (t0,) = tf.metadata["kahler_points"]
         geodesic_shoot(tf.tensor, t0, (1, 0.3), 1.0)
-        assert len(validations) <= 4
+        assert len(validations) == 2

@@ -24,7 +24,7 @@ from conegeom.io import (
     write_path_csv,
 )
 from conegeom.lorentz import full_cone_check, reduce_to_standard
-from conegeom.metric import levelset_metric, metric_at
+from conegeom.metric import is_positive_definite, levelset_metric, metric_at
 from conegeom.scan import sample_cone_points, scan_sectional
 from conegeom.tensors import IntersectionTensor
 
@@ -104,6 +104,48 @@ class TestTensorFiles:
         )
         with pytest.raises(TensorFormatError, match="kahler_points"):
             read_tensor_file(path)
+
+    def test_kahler_point_with_indefinite_metric_rejected(self, tmp_path):
+        # Vol(1, 1) = 2 > 0, but the metric of this degree-3 tensor is indefinite there.
+        doc = {"n": 3, "N": 2, "entries": [[[0, 0, 0], 6.0], [[1, 1, 1], 6.0]]}
+        path = tmp_path / "indefinite.json"
+        path.write_text(json.dumps(dict(doc, metadata={"kahler_points": [[1.0, 1.0]]})))
+        with pytest.raises(TensorFormatError, match=r"kahler_points\[0\].*positive-definite"):
+            read_tensor_file(path)
+        path.write_text(json.dumps(doc))
+        # Without the listed point the file loads, and metric_at makes no claim.
+        assert not is_positive_definite(metric_at(read_tensor_file(path).tensor, [1.0, 1.0]).g)
+
+    @pytest.mark.parametrize(
+        "points, where",
+        [
+            (5, "kahler_points"),
+            ("abc", "kahler_points"),
+            ([{"x": 1}], r"kahler_points\[0\]"),
+            ([[2.0, 1.0], [1.0, 2.0, 3.0]], r"kahler_points\[1\]"),
+            ([[2.0, "x"]], r"kahler_points\[0\]"),
+            ([[2.0, None]], r"kahler_points\[0\]"),
+            ([[[2.0, 1.0]]], r"kahler_points\[0\]"),
+        ],
+    )
+    def test_malformed_kahler_points(self, tmp_path, points, where):
+        # A non-list, a dict entry and a wrong-length entry used to raise
+        # TypeError or DimensionMismatch, which the CLI did not report as a
+        # malformed file.
+        path = tmp_path / "bad.json"
+        doc = {"n": 2, "N": 2, "entries": [[[0, 0], 1.0], [[1, 1], -1.0]], "metadata": {"kahler_points": points}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TensorFormatError, match=where):
+            read_tensor_file(path)
+
+    def test_malformed_kahler_points_exit_2(self, tmp_path):
+        for i, points in enumerate((5, [{"x": 1}], [[1.0, 2.0, 3.0]])):
+            path = tmp_path / f"bad{i}.json"
+            doc = {"n": 2, "N": 2, "entries": [[[0, 0], 1.0], [[1, 1], -1.0]], "metadata": {"kahler_points": points}}
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli("vol", str(path), "--point", "2,1")
+            assert (code, out) == (2, "")
+            assert err.startswith("TensorFormatError:") and "kahler_points" in err
 
     def test_all_fixtures_load_and_validate(self):
         names = list_fixtures()

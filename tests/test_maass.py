@@ -35,7 +35,6 @@ ARRAY_HOLDERS = {
             gamma_first=np.zeros((2, 2, 2)),
             gamma_white=np.zeros((2, 2, 2)),
             riemann=None,
-            base=np.ones(2),
             metric=None,
             eigvals=np.ones(2),
             eigvecs=a,
@@ -93,6 +92,21 @@ class TestTypes:
     def test_base_point_must_be_hermitian(self):
         with pytest.raises(ValueError):
             HermitianPoint(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+
+    def test_nonfinite_base_point(self):
+        # A nan matrix used to fail the Hermiticity test instead.
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianPoint(np.full((2, 2), np.nan))
+
+    def test_nonfinite_matrix_to_params(self):
+        # It used to return [nan nan nan 0.].
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_to_params(np.full((2, 2), np.nan))
+
+    def test_nonfinite_params_to_matrix(self):
+        # It used to return a matrix holding inf.
+        with pytest.raises(ValueError, match="non-finite"):
+            params_to_matrix([np.inf, 1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("cls", list(ARRAY_HOLDERS))
     def test_caller_array_stays_writeable(self, cls):

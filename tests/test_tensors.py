@@ -178,6 +178,38 @@ class TestContract:
             volume(BLOWUP, [1.0, 2.0, 3.0])
 
 
+class TestVectorCheck:
+    """Every point and tangent vector passes the one check ``tensors._vector``."""
+
+    @pytest.mark.parametrize(
+        "point", [np.array([2 + 1j, 1.0]), [2 + 1j, 1.0], np.array([2.0, 1.0], dtype=complex)]
+    )
+    def test_complex_point_rejected(self, point):
+        # A complex array used to be truncated to its real part, with only a
+        # ComplexWarning; a complex list raised TypeError.
+        with pytest.raises(ValueError, match="real numbers"):
+            volume(BLOWUP, point)
+
+    def test_complex_tangent_rejected(self):
+        with pytest.raises(ValueError, match="real numbers"):
+            contract(BLOWUP, [np.array([1.0, 1j])], [2.0, 1.0])
+
+    @pytest.mark.parametrize("x", [[[2.0, 1.0]], [{"x": 1}], "ab", [[1.0], [1.0, 2.0]], [None, 1.0]])
+    def test_not_a_vector_of_numbers(self, x):
+        with pytest.raises(ValueError):
+            volume(BLOWUP, x)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            volume(BLOWUP, [2.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            contract(BLOWUP, [[bad, 0.0]], [2.0, 1.0])
+
+    def test_scalar_is_a_vector_of_length_one(self):
+        assert volume(CUBIC, 2.0) == volume(CUBIC, [2.0]) == 8.0
+
+
 class TestVolume:
     def test_normalized_cubic(self):
         assert volume(CUBIC, [1.0]) == 1.0
