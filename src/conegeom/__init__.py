@@ -9,124 +9,28 @@ trace metric on Hermitian positive-definite matrices), and sampling tools
 for sectional-curvature and signature surveys.
 """
 
-from .errors import (
-    ConeGeometryError,
-    DegeneratePlane,
-    DimensionMismatch,
-    NoValidPoints,
-    NotPositiveDefinite,
-    NotPrimitive,
-    SingularMetric,
-    TensorFormatError,
-    VolumeNotPositive,
-    WrongSignature,
-)
-from .tensors import (
-    IntersectionTensor,
-    contract,
-    vol_derivatives,
-    volume,
-)
-from .metric import (
-    MetricAtPoint,
-    PullbackReport,
-    levelset_metric,
-    metric_at,
-    primitive_decompose,
-    pullback_check,
-)
-from .curvature import (
-    CurvatureAtPoint,
-    christoffel_at,
-    fd_curvature_oracle,
-    riemann_at,
-    sectional,
-    sectional_from_curvature,
-)
-from .geodesics import (
-    GeodesicPath,
-    LengthBoundReport,
-    RayStudy,
-    boundary_ray_study,
-    geodesic_shoot,
-    length_bound_check,
-    path_length,
-)
-from .lorentz import (
-    ConeExtensionReport,
-    IsometryReport,
-    LorentzModel,
-    full_cone_check,
-    lorentz_isometry_check,
-    reduce_to_standard,
-)
-from . import maass
-from .scan import ScanReport, sample_cone_points, scan_sectional, signature_profile
-from .io import (
-    TensorFile,
-    emit_report,
-    fixture_path,
-    list_fixtures,
-    load_fixture,
-    load_tensor,
-    read_tensor_file,
-    save_tensor_file,
-)
+from . import curvature, errors, geodesics, io, lorentz, maass, metric, scan, tensors
+from .errors import *
+from .tensors import *
+from .metric import *
+from .curvature import *
+from .geodesics import *
+from .lorentz import *
+from .scan import *
+from .io import *
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is its public surface; the package re-exports them all.
 __all__ = [
-    "ConeGeometryError",
-    "DegeneratePlane",
-    "DimensionMismatch",
-    "NoValidPoints",
-    "NotPositiveDefinite",
-    "NotPrimitive",
-    "SingularMetric",
-    "TensorFormatError",
-    "VolumeNotPositive",
-    "WrongSignature",
-    "IntersectionTensor",
-    "contract",
-    "vol_derivatives",
-    "volume",
-    "MetricAtPoint",
-    "PullbackReport",
-    "levelset_metric",
-    "metric_at",
-    "primitive_decompose",
-    "pullback_check",
-    "CurvatureAtPoint",
-    "christoffel_at",
-    "fd_curvature_oracle",
-    "riemann_at",
-    "sectional",
-    "sectional_from_curvature",
-    "GeodesicPath",
-    "LengthBoundReport",
-    "RayStudy",
-    "boundary_ray_study",
-    "geodesic_shoot",
-    "length_bound_check",
-    "path_length",
-    "ConeExtensionReport",
-    "IsometryReport",
-    "LorentzModel",
-    "full_cone_check",
-    "lorentz_isometry_check",
-    "reduce_to_standard",
+    *errors.__all__,
+    *tensors.__all__,
+    *metric.__all__,
+    *curvature.__all__,
+    *geodesics.__all__,
+    *lorentz.__all__,
+    *scan.__all__,
+    *io.__all__,
     "maass",
-    "ScanReport",
-    "sample_cone_points",
-    "scan_sectional",
-    "signature_profile",
-    "TensorFile",
-    "emit_report",
-    "fixture_path",
-    "list_fixtures",
-    "load_fixture",
-    "load_tensor",
-    "read_tensor_file",
-    "save_tensor_file",
     "__version__",
 ]

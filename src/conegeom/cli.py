@@ -3,9 +3,10 @@
 Subcommands: vol, metric, curvature, sectional, geodesic, length-check,
 boundary-ray, lorentz-verify, maass-verify, scan, signature.
 
-Exit codes: 0 on success, 1 on a geometric domain error (the error class
-name is printed to stderr), 2 on usage errors including malformed input
-files.  All numeric output is deterministic for a fixed --seed, and floats
+Exit codes: 0 on success, 1 on a geometric domain error, 2 on usage errors,
+including malformed input files and arguments the library refuses with
+``ValueError``; either error prints its class name and message on one line
+of stderr.  All numeric output is deterministic for a fixed --seed, and floats
 are printed with exact round-trip precision.
 """
 
@@ -34,9 +35,12 @@ def _fmt_matrix(m) -> str:
 
 def _parse_coords(text: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.split(",")], dtype=float)
+        coords = np.array([float(x) for x in text.split(",")], dtype=float)
+        if np.all(np.isfinite(coords)):
+            return coords
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -133,6 +137,9 @@ def cmd_length_check(args):
     tf = _load(args)
     if len(args.point or []) < 2:
         print("usage error: length-check requires at least two --point options", file=sys.stderr)
+        return 2
+    if len({p.size for p in args.point}) > 1:
+        print("usage error: length-check points must all have the same length", file=sys.stderr)
         return 2
     rep = geodesics.length_bound_check(tf.tensor, np.array(args.point))
     doc = {"length": rep.length, "bound": rep.bound, "slack": rep.slack, "pass": rep.passed}
@@ -286,8 +293,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except TensorFormatError as exc:
-        print(f"TensorFormatError: {exc}", file=sys.stderr)
+    except (TensorFormatError, ValueError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ConeGeometryError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

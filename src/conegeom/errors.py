@@ -5,6 +5,19 @@ Every error that encodes a geometric precondition violation derives from
 errors from programming errors.
 """
 
+__all__ = [
+    "ConeGeometryError",
+    "DimensionMismatch",
+    "VolumeNotPositive",
+    "NotPositiveDefinite",
+    "NotPrimitive",
+    "SingularMetric",
+    "DegeneratePlane",
+    "WrongSignature",
+    "NoValidPoints",
+    "TensorFormatError",
+]
+
 
 class ConeGeometryError(Exception):
     """Base class for geometric domain errors."""

@@ -2,11 +2,11 @@
 
 The geodesic equation ``t''^l + Gamma^l_{jk} t'^j t'^k = 0`` is integrated
 with the 8th-order Dormand-Prince pair DOP853 and its combined 5th/3rd-order
-error estimate.  Steps are rejected both on the error estimate and on drift
-of the conserved speed ``g(t', t')``, because the curvature blows up near the
-volume-cone boundary and fixed steps fail there.  Piecewise-linear paths and
-boundary rays share one Gauss-Legendre line integral, and every length is
-compared against the lower bound
+error estimate.  Steps are rejected on the error estimate, because the
+curvature blows up near the volume-cone boundary and fixed steps fail there,
+and a step that drifts the conserved speed ``g(t', t')`` ends the shot.
+Piecewise-linear paths and boundary rays share one Gauss-Legendre line
+integral, and every length is compared against the lower bound
 
     L >= |log Vol(end) - log Vol(start)| / sqrt(n),
 
@@ -93,11 +93,16 @@ class GeodesicPath:
     ``"metric_degenerate"`` when the shot reached a point ``t`` where
     ``lambda_min(g) * |t|^2 <= DEGENERACY_RATIO * n``; that point is the last
     one kept.  Since ``g(t, t) = n`` gives ``lambda_max >= n / |t|^2``, such a
-    point also has ``lambda_min <= DEGENERACY_RATIO * lambda_max``.  Otherwise
-    the step shrank below ``STEP_FLOOR``: ``"exited_volume_cone"`` if the last
-    rejection was a stage point with ``Vol <= VOLUME_EXIT_FACTOR * Vol(t0)``
-    or a singular metric, ``"step_underflow"`` if it was the error estimate
-    or the speed drift.
+    point also has ``lambda_min <= DEGENERACY_RATIO * lambda_max``.
+    ``"ill_conditioned"`` means a step passed the error test but ended with
+    ``|g(t', t') - 1| > tol``: rounding in the metric, about
+    ``cond(g) * eps``, has outgrown the speed budget, so the shot ends at the
+    last accepted point and every reported speed is within ``tol``.
+    Otherwise the step shrank below ``STEP_FLOOR``: ``"exited_volume_cone"``
+    if the last rejection was a stage point with
+    ``Vol <= VOLUME_EXIT_FACTOR * Vol(t0)`` or a singular metric (a start
+    whose first stage or starting-step probe meets one ends so at once),
+    ``"step_underflow"`` if it was the error estimate.
 
     The samples are the accepted steps.  ``noether_residual`` is the largest
     ``|g(t, t') - g(t0, t'0)|`` over them: ``g(t, t') = D_t' log Vol`` is
@@ -161,7 +166,8 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     arclength : float, total arc length to cover, finite and positive
     tol : float
         Bound on the speed drift ``|g(t', t') - 1|`` at every point of the run,
-        finite and positive; a step ending beyond it is rejected.
+        finite and positive; the shot ends ``"ill_conditioned"`` at the first
+        step, accurate by the error test, that ends beyond it.
     """
     for name, value in (("arclength", arclength), ("tol", tol)):
         if not 0 < value < math.inf:
@@ -202,7 +208,6 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     err_tol_per_unit = 0.1 * tol / arclength
 
     s_val = 0.0
-    h = arclength
     samples = [(0.0, y.copy(), 1.0)]
     status = "completed"
     degenerate_level = DEGENERACY_RATIO * c.n
@@ -210,23 +215,24 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
     # Stage derivatives, one row each.  First same as last: the stage at the
     # new point becomes the next step's stage 0.
     K = np.empty((12, 2 * N))
-    have_k0 = False
     boundary_reject = False
+    try:
+        K[0], _, noether0 = rhs(y)
+        # The starting step: h^8 0.01 max(|y'|, |y''|) = budget, at most 100 probes.
+        d1 = float(np.max(np.abs(K[0])))
+        h0 = 0.01 * float(np.max(np.abs(y))) / d1
+        d2 = float(np.max(np.abs(rhs(y + h0 * K[0])[0] - K[0]))) / h0
+        sc = err_tol_per_unit * max(1.0, float(np.max(np.abs(y))))
+        h = min(arclength, 100.0 * h0, (0.01 * sc / max(d1, d2)) ** 0.125)
+    except _BoundaryHit:
+        # No step can start where the first stage or its probe fails.
+        h, boundary_reject = 0.0, True
     while s_val < arclength:
         h = min(h, arclength - s_val)
         if h < STEP_FLOOR:
             status = "exited_volume_cone" if boundary_reject else "step_underflow"
             break
         try:
-            if not have_k0:
-                K[0], _, noether0 = rhs(y)
-                # The starting step: h^8 0.01 max(|y'|, |y''|) = budget, at most 100 probes.
-                d1 = float(np.max(np.abs(K[0])))
-                h0 = 0.01 * float(np.max(np.abs(y))) / d1
-                d2 = float(np.max(np.abs(rhs(y + h0 * K[0])[0] - K[0]))) / h0
-                sc = err_tol_per_unit * max(1.0, float(np.max(np.abs(y))))
-                h = min(h, 100.0 * h0, (0.01 * sc / max(d1, d2)) ** 0.125)
-                have_k0 = True
             for i in range(1, 12):
                 K[i] = rhs(y + h * (_DOP_A[i, :i] @ K[:i]))[0]
             y_new = y + h * (_DOP_B @ K)
@@ -240,11 +246,14 @@ def geodesic_shoot(c: IntersectionTensor, t0, u0, arclength: float, tol: float =
         err3 = float(np.max(np.abs(_DOP_E3 @ K))) / scale
         err = h * err5**2 / math.sqrt(err5**2 + 0.01 * err3**2) if err5 > 0 else 0.0
         err_tol = max(err_tol_per_unit * h, ERROR_FLOOR)
-        sp = float(y_new[N:] @ g @ y_new[N:])
-        if err > err_tol or abs(sp - 1.0) > tol:
+        if err > err_tol:
             boundary_reject = False
             h *= 0.5
             continue
+        sp = float(y_new[N:] @ g @ y_new[N:])
+        if abs(sp - 1.0) > tol:
+            status = "ill_conditioned"
+            break
         # The last step lands on arclength exactly, whatever s_val + h rounds to.
         s_val = arclength if h == arclength - s_val else s_val + h
         y = y_new

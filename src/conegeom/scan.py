@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoValidPoints, NotPositiveDefinite, SingularMetric, VolumeNotPositive
+from .errors import NoValidPoints, SingularMetric, VolumeNotPositive
 from .curvature import _fixed_quadric, _sectional, _whitening, christoffel_at
 from .metric import _hessian_metric, _sign_counts, is_positive_definite, signature_counts
 from .tensors import IntersectionTensor, _jet, _vector
@@ -240,18 +240,18 @@ def scan_sectional(
     """
     if planes_per_point < 1:
         raise ValueError(f"planes_per_point must be at least 1, got {planes_per_point!r}")
+    if c.N < 2:
+        raise NoValidPoints("no tangent 2-planes exist in a one-dimensional cone")
     curvs = []
     for p in points:
         try:
             curv = christoffel_at(c, p)
-        except (VolumeNotPositive, NotPositiveDefinite, SingularMetric):
+        except (VolumeNotPositive, SingularMetric):
             continue
         if _sign_counts(curv.eigvals)[0] == c.N:
             curvs.append(curv)
     if not curvs:
         raise NoValidPoints("no sampled point has positive volume and positive-definite metric")
-    if c.N < 2:
-        raise NoValidPoints("no tangent 2-planes exist in a one-dimensional cone")
     # Each plane is the g-Gram-Schmidt of two iid N(0, I) vectors: one QR per
     # point, batched over its planes, in the whitened coordinates of g.
     planes, k_values = [], []

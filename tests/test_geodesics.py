@@ -38,6 +38,37 @@ def count_metric_jets(monkeypatch):
     return calls
 
 
+def bounded_jets(monkeypatch, budget):
+    """Count the volume jets of geodesic shots, one per right-hand side.
+
+    Past ``budget`` jets the shot raises, so a shot that stops stopping fails
+    the test at once instead of grinding."""
+    import conegeom.geodesics as geodesics
+
+    calls = []
+
+    def counted(*args, original=geodesics._jet):
+        calls.append(None)
+        if len(calls) > budget:
+            raise AssertionError(f"geodesic shot exceeded its budget of {budget} jets")
+        return original(*args)
+
+    monkeypatch.setattr(geodesics, "_jet", counted)
+    return calls
+
+
+def torus_closed_form(path):
+    """The trace-metric geodesic ``Omega^1/2 exp(s X) Omega^1/2`` of a shot on
+    the 2x2 determinant form, with ``X = Omega^-1/2 U Omega^-1/2``, at the
+    shot's last arc parameter, and the shot's endpoint, both as matrices."""
+    lam, vecs = np.linalg.eigh(params_to_matrix(path.points[0]))
+    root = (vecs * np.sqrt(lam)) @ vecs.conj().T
+    inv_root = (vecs / np.sqrt(lam)) @ vecs.conj().T
+    mu, w = np.linalg.eigh(inv_root @ params_to_matrix(path.velocities[0]) @ inv_root)
+    want = root @ ((w * np.exp(path.arclength * mu)) @ w.conj().T) @ root
+    return want, params_to_matrix(path.endpoint)
+
+
 def metric_profile(c, path):
     """Per point of a path: ``lambda_min |t|^2``, ``lambda_min / lambda_max``,
     and the largest speed drift ``|g(t', t') - 1|``, from fresh metrics."""
@@ -86,19 +117,10 @@ class TestGeodesicShoot:
         # s = 0.4461, where Vol stays near 1.94 but lambda_min(g) -> 0.  Once
         # the error budget fell below rounding the shot used to take about
         # 150,000 jets to reach step_underflow; DOP853 needs about 2,400.
-        import conegeom.geodesics as geodesics
-
-        calls = []
-
-        def counted(*args, original=geodesics._jet):
-            calls.append(None)
-            return original(*args)
-
-        monkeypatch.setattr(geodesics, "_jet", counted)
+        bounded_jets(monkeypatch, 4_000)
         c = load_fixture("synthetic_n3_b").tensor
         path = geodesic_shoot(c, (1, 1, 1), (1, 0.3, -0.2), 2.0)
         assert path.status == "metric_degenerate"
-        assert len(calls) < 4_000
         scaled, ratio, drift = metric_profile(c, path)
         # The stop criterion holds at the last point and nowhere before it.
         assert np.flatnonzero(scaled <= DEGENERACY_RATIO * c.n).tolist() == [len(path.s) - 1]
@@ -230,13 +252,54 @@ class TestGeodesicShoot:
             shots += 1
             path = geodesic_shoot(c, matrix_to_params(omega), rng.normal(size=4), 1.5)
             assert path.status == "completed"
-            root = (vecs * np.sqrt(lam)) @ vecs.conj().T
-            inv_root = (vecs / np.sqrt(lam)) @ vecs.conj().T
-            x = inv_root @ params_to_matrix(path.velocities[0]) @ inv_root
-            mu, w = np.linalg.eigh(x)
-            want = root @ ((w * np.exp(path.arclength * mu)) @ w.conj().T) @ root
-            got = params_to_matrix(path.endpoint)
+            want, got = torus_closed_form(path)
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_torus_short_shot_completes(self, monkeypatch):
+        jets = bounded_jets(monkeypatch, 200)
+        path = geodesic_shoot(load_fixture("torus_det").tensor, (1, 1, 0, 0), (1, 0, 0.5, 0), 2.0)
+        assert path.status == "completed"
+        assert len(path.s) - 1 == 13
+        assert len(jets) == 12 * 13 + 2
+
+    @pytest.mark.parametrize("arclength", [8.0, 12.0, 16.0, 24.0])
+    def test_torus_long_shots_end_ill_conditioned(self, monkeypatch, arclength):
+        # Along this torus geodesic cond(g) grows exponentially; past s = 6.3
+        # to 6.6 its rounding, cond(g) * eps, exceeds tol, and the first step
+        # whose speed drifts beyond tol ends the shot.  A shot that
+        # halved its step and retried there ran 6,614 jets to step_underflow
+        # at L = 8, and more than 450,000 without an end at L = 16 and 24.
+        tol = 1e-10
+        c = load_fixture("torus_det").tensor
+        bounded_jets(monkeypatch, 1_000)
+        path = geodesic_shoot(c, (1, 1, 0, 0), (1, 0, 0.5, 0), arclength, tol=tol)
+        assert path.status == "ill_conditioned"
+        assert 6.0 < path.arclength < 7.0
+        assert float(np.max(np.abs(path.speeds - 1.0))) <= tol
+        want, got = torus_closed_form(path)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        assert np.linalg.cond(metric_at(c, path.endpoint).g) * np.finfo(float).eps >= tol
+
+    @pytest.mark.parametrize("failing_solve", [1, 2])
+    def test_start_that_cannot_step_exits_at_once(self, monkeypatch, failing_solve):
+        # The solve of the first stage (1) or of the starting-step probe (2)
+        # fails.  The start used to be retried with halved steps, 47 times,
+        # before the shot ended exited_volume_cone.
+        solve = np.linalg.solve
+        solves = []
+
+        def failing(*args):
+            solves.append(None)
+            if len(solves) >= failing_solve:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(*args)
+
+        jets = bounded_jets(monkeypatch, 10)
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        path = geodesic_shoot(BLOWUP_FILE.tensor, (2, 1), (1, 0.3), 1.0)
+        assert path.status == "exited_volume_cone"
+        assert len(path.s) == 1 and path.noether_residual == 0.0
+        assert len(jets) == failing_solve <= 2
 
 
 class TestPathLength:

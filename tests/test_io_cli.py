@@ -197,6 +197,19 @@ class TestReports:
         assert float(last[1]) == path_obj.endpoint[0]
 
 
+class TestPublicSurface:
+    def test_package_exports_every_module_list(self):
+        from conegeom import curvature, errors, geodesics, io, lorentz, metric, scan, tensors
+
+        modules = (errors, tensors, metric, curvature, geodesics, lorentz, scan, io)
+        names = [name for module in modules for name in module.__all__]
+        assert sorted(conegeom.__all__) == sorted(names + ["maass", "__version__"])
+        assert len(set(conegeom.__all__)) == len(conegeom.__all__)
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(conegeom, name) is getattr(module, name)
+
+
 class TestCli:
     def test_vol_success(self):
         code, out, err = run_cli("vol", str(fixture_path("blowup_p2")), "--point", "2,1")
@@ -350,6 +363,26 @@ class TestCli:
             assert code == 2
             assert out == ""
             assert "expected an integer >= 1" in err
+
+    def test_nonfinite_points_and_refused_arguments_are_usage_errors(self):
+        # Each of these used to end in a Python traceback with exit code 1.
+        for args, message in (
+            (("vol", "blowup_p2", "--point", "2,nan"), "expected comma-separated finite numbers, got '2,nan'"),
+            (("vol", "blowup_p2", "--point", "inf,1"), "expected comma-separated finite numbers, got 'inf,1'"),
+            (
+                ("geodesic", "blowup_p2", "--point", "2,1", "--vector", "0,0", "--arclength", "1"),
+                "ValueError: initial direction has nonpositive metric norm",
+            ),
+            (
+                ("length-check", "blowup_p2", "--point", "2,1", "--point", "2.5,1.2,1"),
+                "usage error: length-check points must all have the same length",
+            ),
+        ):
+            code, out, err = run_cli(*args)
+            assert code == 2, args
+            assert out == ""
+            assert "Traceback" not in err
+            assert err.splitlines()[-1].endswith(message)
 
     @pytest.mark.parametrize("bad", ["nan", "0", "-1"])
     def test_nonfinite_or_nonpositive_arclength_and_tol_are_usage_errors(self, bad):

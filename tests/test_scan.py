@@ -96,9 +96,18 @@ class TestScanSectional:
             assert report.k_max <= 1e-8
             assert report.k_min <= report.k_max
 
-    def test_no_planes_in_one_dimension(self):
-        with pytest.raises(NoValidPoints):
-            scan_sectional(CUBIC, points_for(CUBIC, [1.0]))
+    def test_no_planes_in_one_dimension(self, monkeypatch):
+        # The dimension is checked before any Christoffel data is built.
+        import conegeom.scan as scan
+
+        points = points_for(CUBIC, [1.0])
+
+        def unused(*args):
+            raise AssertionError("christoffel_at called in a one-dimensional cone")
+
+        monkeypatch.setattr(scan, "christoffel_at", unused)
+        with pytest.raises(NoValidPoints, match="2-planes"):
+            scan_sectional(CUBIC, points)
 
     def test_drops_points_outside_the_cone(self):
         # Vol < 0 at -(1, 1, 1); Vol > 0 but g indefinite at the second point.
