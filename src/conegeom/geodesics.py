@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, VolumeNotPositive
-from .metric import _hessian_metric, _metric_jet
+from .errors import NotPositiveDefinite
+from .metric import _cone_jet, _hessian_metric, _metric_jet
 from .tensors import IntersectionTensor, _freeze, _jet, _vector
 
 __all__ = [
@@ -298,20 +298,18 @@ def _line_length(c, a, w, edges):
 
 
 def _path_length(c: IntersectionTensor, points):
-    # The checked (k, N) array of path points and the length of the path through them.
+    # The volumes at the path points and the length of the path through them.
     pts = np.atleast_2d(np.asarray(points))
     if pts.ndim != 2 or pts.size == 0:
         raise ValueError(f"expected a (k, {c.N}) array of path points, got shape {pts.shape}")
     pts = np.array([_vector(c.N, p, "path point") for p in pts])
-    for p in pts:
-        if _jet(c, p, 0)[0] <= 0:
-            raise VolumeNotPositive(f"path sample {p.tolist()} has nonpositive volume")
+    vols = [_cone_jet(c, p, 0)[0] for p in pts]
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
         if np.array_equal(a, b):
             continue
         total += _line_length(c, a, b - a, (0.0, 1.0))
-    return pts, float(total)
+    return vols, float(total)
 
 
 def path_length(c: IntersectionTensor, points) -> float:
@@ -341,10 +339,8 @@ def length_bound_check(c: IntersectionTensor, points, slack: float = 1e-9) -> Le
     up to a finite ``slack >= 0``."""
     if not 0 <= slack < math.inf:
         raise ValueError(f"slack must be finite and nonnegative, got {slack!r}")
-    pts, length = _path_length(c, points)
-    va = _jet(c, pts[0], 0)[0]
-    vb = _jet(c, pts[-1], 0)[0]
-    bound = abs(math.log(vb) - math.log(va)) / math.sqrt(c.n)
+    vols, length = _path_length(c, points)
+    bound = abs(math.log(vols[-1]) - math.log(vols[0])) / math.sqrt(c.n)
     return LengthBoundReport(
         length=length,
         bound=bound,
@@ -387,8 +383,10 @@ def boundary_ray_study(c: IntersectionTensor, alpha, omega, t_mins=None) -> RayS
     ``1e-4`` of the last value, and ``diverging`` when the lengths track a
     log-volume bound that has grown to ten times its first row (both carry
     ``1/sqrt(n)``, so the rule does not depend on the degree).
-    A ray point where ``Vol <= 0`` or ``g(omega, omega) < 0`` raises
-    :class:`VolumeNotPositive` or :class:`NotPositiveDefinite`.
+    A ray point where ``Vol <= 0`` raises :class:`VolumeNotPositive`: the end
+    ``t = 1``, the end ``t_min`` of every row and every quadrature node are
+    checked.  A node where ``g(omega, omega) < 0`` raises
+    :class:`NotPositiveDefinite`.
     """
     a = _vector(c.N, alpha, "base point")
     w = _vector(c.N, omega, "ray direction")
@@ -398,9 +396,7 @@ def boundary_ray_study(c: IntersectionTensor, alpha, omega, t_mins=None) -> RayS
     if not t_mins:
         raise ValueError("boundary_ray_study requires at least one t_min value")
     rows = []
-    vol_top = _jet(c, a + w, 0)[0]
-    if vol_top <= 0:
-        raise VolumeNotPositive("ray endpoint at t = 1 has nonpositive volume")
+    vol_top = _cone_jet(c, a + w, 0)[0]
     length, t_hi = 0.0, 1.0
     for t_min in t_mins:
         if not 0 < t_min < 1:
@@ -412,7 +408,7 @@ def boundary_ray_study(c: IntersectionTensor, alpha, omega, t_mins=None) -> RayS
             edges = np.geomspace(t_min, t_hi, n_oct * PANELS_PER_OCTAVE + 1)
             length += _line_length(c, a, w, edges)
             t_hi = t_min
-        vol_lo = _jet(c, a + t_min * w, 0)[0]
+        vol_lo = _cone_jet(c, a + t_min * w, 0)[0]
         bound = abs(math.log(vol_top) - math.log(vol_lo)) / math.sqrt(c.n)
         rows.append((t_min, length, bound))
     flag = "inconclusive"

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, VolumeNotPositive, WrongSignature
-from .metric import _metric_jet, is_positive_definite, signature_counts
-from .tensors import IntersectionTensor, _freeze, _jet, _vector
+from .errors import DimensionMismatch, WrongSignature
+from .metric import _cone_jet, _metric_jet, _pullback_residual, is_positive_definite, signature_counts
+from .tensors import IntersectionTensor, _freeze, _vector
 
 __all__ = [
     "LorentzModel",
@@ -84,9 +84,7 @@ def reduce_to_standard(c: IntersectionTensor, omega0) -> LorentzModel:
             f"Gram matrix has signature ({pos}, {neg}) with {null} null directions; expected (1, {c.N - 1})"
         )
     w0 = _vector(c.N, omega0, "base point")
-    vol0 = _jet(c, w0, 0)[0]
-    if vol0 <= 0:
-        raise VolumeNotPositive(f"volume {vol0!r} of the reference class is not positive")
+    vol0 = _cone_jet(c, w0, 0)[0]
     b0 = w0 / np.sqrt(vol0)  # b0^T M b0 = 2 Vol(b0) = 2
     if c.N == 1:
         basis = b0.reshape(1, 1)
@@ -184,8 +182,10 @@ def lorentz_isometry_check(
 
     Group elements are built in reduced coordinates and conjugated back by the
     adapted basis, so they preserve the volume form up to the dilation factor.
-    The check passes when the largest relative residual is below ``tol``,
-    which must be finite and positive.
+    Each sample's residual is the metric residual of
+    :func:`conegeom.metric.pullback_check` for the map ``A`` from the tensor
+    to itself.  The check passes when the largest relative residual is below
+    ``tol``, which must be finite and positive.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
@@ -195,13 +195,9 @@ def lorentz_isometry_check(
     c = model.tensor
     max_resid = 0.0
     for point in _sample_reduced_points(model, samples, rng):
-        t = model.to_original(point)
-        lam = _random_group_element(model, rng)
-        a_mat = model.B @ lam @ model.B_inv
-        g_here = _metric_jet(c, t)[0]
-        g_moved = _metric_jet(c, a_mat @ t)[0]
-        resid = a_mat.T @ g_moved @ a_mat - g_here
-        max_resid = max(max_resid, float(np.max(np.abs(resid)) / np.max(np.abs(g_here))))
+        a_mat = model.B @ _random_group_element(model, rng) @ model.B_inv
+        resid = _pullback_residual(c, c, a_mat, model.to_original(point))[2]
+        max_resid = max(max_resid, float(resid))
     return IsometryReport(max_residual=max_resid, n_samples=samples, tol=tol)
 
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePlane, DimensionMismatch, NotPositiveDefinite
+from .curvature import _gram
+from .errors import DimensionMismatch, NotPositiveDefinite
 from .lorentz import gram_matrix
 from .metric import _metric_jet, signature_counts
 from .tensors import IntersectionTensor
@@ -122,12 +123,7 @@ def _curvature_oracle(oi, z, w, u) -> np.ndarray:
 
 
 def _sectional(oi, u, v) -> float:
-    guu = _inner(oi, u, u)
-    gvv = _inner(oi, v, v)
-    guv = _inner(oi, u, v)
-    gram = guu * gvv - guv**2
-    if gram <= 1e-12 * abs(guu * gvv):
-        raise DegeneratePlane("tangent matrices do not span a 2-plane")
+    gram = _gram(_inner(oi, u, u), _inner(oi, v, v), _inner(oi, u, v))
     br = _bracket(oi, u, v)
     return -0.25 * _inner(oi, br, br) / gram
 

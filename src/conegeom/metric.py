@@ -102,12 +102,19 @@ def _hessian_metric(vol: float, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def _metric_jet(c: IntersectionTensor, t: np.ndarray, order: int = 2):
-    """The metric and the volume jet ``(Vol, V_1, ..., V_order)`` at
-    coordinates already checked; inner loops call this with plain arrays."""
+def _cone_jet(c: IntersectionTensor, t: np.ndarray, order: int):
+    """The volume jet ``(Vol, V_1, ..., V_order)`` at coordinates already checked:
+    the one place that raises :class:`VolumeNotPositive`."""
     jet = _jet(c, t, order)
     if jet[0] <= 0.0:
         raise VolumeNotPositive(f"volume {jet[0]!r} at point {t.tolist()} is not positive")
+    return jet
+
+
+def _metric_jet(c: IntersectionTensor, t: np.ndarray, order: int = 2):
+    """The metric and the volume jet ``(Vol, V_1, ..., V_order)`` at
+    coordinates already checked; inner loops call this with plain arrays."""
+    jet = _cone_jet(c, t, order)
     return _hessian_metric(*jet[:3]), jet
 
 
@@ -135,9 +142,7 @@ def primitive_decompose(c: IntersectionTensor, point, u):
     """
     t = _vector(c.N, point, "base point")
     uvec = _vector(c.N, u, "tangent vector")
-    vol, v1 = _jet(c, t, 1)
-    if vol <= 0.0:
-        raise VolumeNotPositive(f"volume {vol!r} is not positive")
+    vol, v1 = _cone_jet(c, t, 1)
     u0 = float(v1 @ uvec) / (c.n * vol)
     u1 = uvec - u0 * t
     # A radial input leaves only rounding junk in u1; make it exactly zero so
@@ -161,14 +166,21 @@ def levelset_metric(c: IntersectionTensor, point, u, v) -> float:
     t = _vector(c.N, point, "base point")
     uvec = _vector(c.N, u, "tangent vector")
     vvec = _vector(c.N, v, "tangent vector")
-    vol, v1, v2 = _jet(c, t, 2)
-    if vol <= 0.0:
-        raise VolumeNotPositive(f"volume {vol!r} is not positive")
+    vol, v1, v2 = _cone_jet(c, t, 2)
     for name, w in (("u", uvec), ("v", vvec)):
         p1 = float(v1 @ w)
         if abs(p1) > _primitivity_bound(c, t, w):
             raise NotPrimitive(f"{name} is not primitive at the base point (P_1 = {p1!r})")
     return float(-(uvec @ v2 @ vvec) / vol)
+
+
+def _pullback_residual(cX: IntersectionTensor, cY: IntersectionTensor, A: np.ndarray, t: np.ndarray):
+    """``(Vol_X(A t), Vol_Y(t), r)`` at a checked source point ``t``, with ``r`` the
+    largest entry of ``A^T g_X(A t) A - g_Y(t)`` relative to that of ``g_Y(t)``."""
+    gy, (vol_y, _, _) = _metric_jet(cY, t)
+    gx, (vol_x, _, _) = _metric_jet(cX, A @ t)
+    resid = np.max(np.abs(A.T @ gx @ A - gy)) / max(np.max(np.abs(gy)), 1e-300)
+    return vol_x, vol_y, resid
 
 
 @dataclass(frozen=True)
@@ -198,7 +210,9 @@ def pullback_check(
 
     Both identities hold exactly when ``A`` intertwines the two volume
     polynomials with positive degree factor ``p``; the report records the
-    largest relative residual over the supplied sample points.
+    largest relative residual over the supplied sample points, each taking one
+    metric per side; :func:`conegeom.lorentz.lorentz_isometry_check` reads the
+    same metric residual.  ``Vol_X(A t) <= 0`` raises :class:`VolumeNotPositive`.
 
     Parameters
     ----------
@@ -207,7 +221,7 @@ def pullback_check(
         to target coordinates (dim ``N_X``).
     A : ndarray of shape (N_X, N_Y), finite
     p : float, finite and positive
-    points : iterable of source-cone points with ``Vol_Y > 0``
+    points : iterable of source-cone points; ``Vol_Y <= 0`` raises :class:`VolumeNotPositive`
     tol : float, finite and positive
     """
     A = np.asarray(A, dtype=float)
@@ -222,16 +236,9 @@ def pullback_check(
         raise DimensionMismatch("tensors must have the same degree")
     vol_res, met_res = [], []
     for point in points:
-        ty = _vector(cY.N, point, "sample point")
-        tx = A @ ty
-        vol_y = _jet(cY, ty, 0)[0]
-        if vol_y <= 0:
-            raise VolumeNotPositive(f"sample point {ty.tolist()} has nonpositive volume")
-        gx, (vol_x, _, _) = _metric_jet(cX, tx)
+        vol_x, vol_y, resid = _pullback_residual(cX, cY, A, _vector(cY.N, point, "sample point"))
         vol_res.append(abs(vol_x - p * vol_y) / abs(p * vol_y))
-        gy = _metric_jet(cY, ty)[0]
-        resid = A.T @ gx @ A - gy
-        met_res.append(np.max(np.abs(resid)) / max(np.max(np.abs(gy)), 1e-300))
+        met_res.append(resid)
     if not vol_res:
         raise ValueError("pullback_check requires at least one sample point")
     # np.max, unlike the builtin max, carries a nan residual into the report.

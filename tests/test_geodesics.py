@@ -301,6 +301,37 @@ class TestGeodesicShoot:
         assert len(path.s) == 1 and path.noether_residual == 0.0
         assert len(jets) == failing_solve <= 2
 
+    def test_solve_that_fails_after_accepted_steps_exits_the_cone(self, monkeypatch):
+        # Every solve from the first stage of the third step on fails, so each
+        # retry costs one jet and halves the step until it underflows: 26 jets
+        # for the start and two steps, then fewer than 50 halvings from h < 1.
+        solve = np.linalg.solve
+        solves = []
+
+        def failing(*args):
+            solves.append(None)
+            if len(solves) > 2 + 12 * 2:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(*args)
+
+        bounded_jets(monkeypatch, 100)
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        path = geodesic_shoot(BLOWUP_FILE.tensor, (2, 1), (1, 0.3), 1.0)
+        assert path.status == "exited_volume_cone"
+        assert len(path.s) == 3 and path.arclength < 1.0
+        assert float(np.max(np.abs(path.speeds - 1.0))) <= 1e-10
+
+    def test_error_test_rejects_a_step(self, monkeypatch):
+        # The shot into the degeneracy locus of synthetic_n3_b accepts 184
+        # steps up to s = 1.0442 and has one rejected by the error estimate,
+        # so it takes more than twelve jets per accepted step and two to start.
+        tol = 1e-10
+        jets = bounded_jets(monkeypatch, 2_500)
+        path = geodesic_shoot(load_fixture("synthetic_n3_b").tensor, (1, 1, 1), (2, 1, 1), 2.0, tol=tol)
+        assert path.status == "metric_degenerate"
+        assert (len(jets) - 2) / 12 > len(path.s) - 1
+        assert float(np.max(np.abs(path.speeds - 1.0))) <= tol
+
 
 class TestPathLength:
     def test_constant_path(self):
@@ -428,6 +459,13 @@ class TestBoundaryRay:
     def test_volume_must_stay_positive(self):
         with pytest.raises(VolumeNotPositive):
             boundary_ray_study(BLOWUP, [0.0, 1.0], [1.0, 0.0], t_mins=[0.5])
+
+    def test_row_end_outside_the_cone(self):
+        # The quadrature nodes of [0.5, 1] lie inside the cone, but the row end
+        # (-0.25, 0.25) has Vol = 0; its log-volume bound used to fail with
+        # "ValueError: math domain error".
+        with pytest.raises(VolumeNotPositive, match=r"at point \[-0.25, 0.25\]"):
+            boundary_ray_study(BLOWUP_FILE.tensor, (1, 1), (-2.5, -1.5), t_mins=[0.5])
 
     def test_octave_count_is_exact(self, monkeypatch):
         # 2**-29 spans exactly 29 octaves; a float log with base 2 rounds the

@@ -326,6 +326,12 @@ class TestCli:
             assert code == 1
             assert err.startswith("NotPositiveDefinite:")
 
+    def test_ray_row_end_outside_the_cone_is_a_domain_error(self):
+        # A coordinate list that starts with "-" must be attached to its option.
+        code, out, err = run_cli("boundary-ray", "blowup_p2", "--point", "1,1", "--vector=-2.5,-1.5", "--samples", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("VolumeNotPositive:")
+
     def test_wrong_length_vectors_are_domain_errors(self):
         c = load_fixture("blowup_p2").tensor
         point, long, ok = [2.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0]
